@@ -196,7 +196,7 @@ def run_recovery_experiment(
                 "checkpointed recovery requires JSON-serializable "
                 f"testbed_kwargs: {exc}"
             ) from None
-        _arm_settle_checkpoint(
+        _arm_gap_checkpoint(
             testbed,
             injector,
             checker,
@@ -244,7 +244,7 @@ def run_recovery_experiment(
     )
 
 
-def _arm_settle_checkpoint(
+def _arm_gap_checkpoint(
     testbed, injector, checker, store, settle_stop: float, meta: Dict[str, Any]
 ) -> None:
     """One-shot snapshot at the first safe point of the settle gap.

@@ -6,8 +6,10 @@ checkpoint/telemetry substrates, and — the point of the package —
 survives its own death.  Every task lifecycle transition is journaled
 to an append-only, checksummed WAL before it takes effect
 (:mod:`~repro.service.journal`), work is claimed through heartbeated
-leases a watchdog can reclaim (:mod:`~repro.service.leases`), poison
-tasks land in a forensics quarantine instead of wedging the sweep
+leases a watchdog can reclaim — local worker processes and remote
+hosts run one worker loop against one lease table
+(:mod:`~repro.service.orchestrator`) — poison tasks land in a
+forensics quarantine instead of wedging the sweep
 (:mod:`~repro.service.quarantine`), and SIGTERM drains cleanly
 (:mod:`~repro.service.signals`).  ``kill -9`` at any instant — proven
 at the armed kill points of :mod:`~repro.service.faults` — followed by
@@ -22,8 +24,9 @@ Entry points: :class:`Orchestrator` / :class:`ServiceConfig` (the
 
 The HTTP layer lives in :mod:`repro.service.net`: ``serve --http``
 front end, the fault-tolerant :class:`~repro.service.net.SweepClient`,
-and the ``work --connect`` remote sharding worker — imported lazily by
-its users, not re-exported here.
+and :func:`~repro.service.net.work_loop`, the worker loop that
+``work --connect`` hosts and the local workers share — imported lazily
+by its users, not re-exported here.
 """
 
 from .journal import (
@@ -35,7 +38,6 @@ from .journal import (
     seal_record,
     verify_record,
 )
-from .leases import HeartbeatWriter, classify_lease, pid_alive
 from .orchestrator import (
     Orchestrator,
     ServiceConfig,
@@ -45,7 +47,7 @@ from .orchestrator import (
 from .quarantine import read_quarantine_records, write_quarantine_record
 from .signals import ShutdownRequested, handle_signals
 from .state import ServiceState, TaskRecord, TaskState, fold_journal
-from .status import render_service_status, service_status
+from .status import pid_alive, render_service_status, service_status
 from .submit import (
     build_submission,
     read_submission,
@@ -54,7 +56,7 @@ from .submit import (
     validate_submission,
     write_submission,
 )
-from .worker import task_from_description, worker_main
+from .worker import task_from_description
 
 __all__ = [
     "JOURNAL_FILENAME",
@@ -64,9 +66,6 @@ __all__ = [
     "read_journal",
     "seal_record",
     "verify_record",
-    "HeartbeatWriter",
-    "classify_lease",
-    "pid_alive",
     "Orchestrator",
     "ServiceConfig",
     "ServicePaths",
@@ -79,6 +78,7 @@ __all__ = [
     "TaskRecord",
     "TaskState",
     "fold_journal",
+    "pid_alive",
     "render_service_status",
     "service_status",
     "build_submission",
@@ -88,5 +88,4 @@ __all__ = [
     "validate_submission",
     "write_submission",
     "task_from_description",
-    "worker_main",
 ]

@@ -3,8 +3,9 @@
 The durable-orchestrator guarantee — ``kill -9`` at any instant loses
 nothing — is only worth claiming if the test suite can place the kill
 *at* the instants that matter: right after a journal append becomes
-durable, between granting a lease and spawning its worker, between
-committing a result to the cache and journaling the completion.  This
+durable, between granting a lease and handing its shard to a worker,
+between committing a result to the cache and journaling the
+completion.  This
 module provides those kill points, mirroring the conventions of
 :mod:`repro.runner.faults` (environment-controlled, one-shot via an
 ``O_EXCL`` claim directory, zero cost when disabled):
@@ -17,8 +18,8 @@ module provides those kill points, mirroring the conventions of
       fsynced (the record must survive; the transition it describes
       has not been acted on yet);
     - ``lease_grant`` — after the ``lease_granted`` record is durable
-      but before the worker process is spawned (a lease with no
-      living worker, the watchdog-reclaim case);
+      but before the shard reaches a worker, local or remote (a lease
+      nobody works on, reclaimed by the restart);
     - ``result_commit`` — after the result is written to the content-
       addressed cache but before ``task_completed`` is journaled (the
       re-run must dedupe against the cache, not recompute).

@@ -10,7 +10,7 @@ the wire:
   task ids as ``submit``, so retries and concurrent clients dedupe
   against the cache and journal for free), folded status under ETags,
   OpenMetrics exposition, 429 + Retry-After admission control, and the
-  remote worker protocol (claim / heartbeat / result / fail);
+  worker protocol over HTTP (claim / heartbeat / result / fail);
 - :mod:`~repro.service.net.client` — :class:`SweepClient`: per-request
   timeouts, bounded retries with seedable full-jitter backoff (the
   runner's own :class:`~repro.runner.backoff.FullJitterBackoff`), a
@@ -18,10 +18,13 @@ the wire:
   :class:`~repro.runner.ExperimentRunner` execution when every host is
   unreachable — a structured ``degraded_local`` trace event, never a
   stack trace;
-- :mod:`~repro.service.net.worker` — ``repro-plc work --connect URL``:
-  remote hosts claiming (point, rep) shards over HTTP with heartbeat
-  PUTs; results commit cache.put-then-journal exactly as PR 9, so a
-  partition between commit and ack converges on redelivery;
+- :mod:`~repro.service.net.worker` — the one worker loop,
+  :func:`work_loop`: claim a (point, rep) shard, heartbeat its lease,
+  commit the result.  ``repro-plc work --connect URL`` runs it over
+  HTTP (:class:`SweepClient` carries the claim / heartbeat / commit /
+  fail calls), the orchestrator's local workers over a pipe; results
+  commit cache.put-then-journal, so a partition between commit and ack
+  converges on redelivery;
 - :mod:`~repro.service.net.wire` — the JSON wire helpers plus the
   deterministic network fault injection
   (``REPRO_NET_FAULT=drop|delay|duplicate|partition[:times=N]``) at

@@ -291,6 +291,45 @@ class SweepClient:
         _status, doc, _headers = self._request("GET", "/v1/status")
         return doc
 
+    # -- worker protocol (what work_loop calls) ----------------------------
+
+    def claim(
+        self, worker_id: str
+    ) -> Tuple[Optional[Dict[str, Any]], bool]:
+        """``(shard, idle)``: a leased shard, or ``None`` plus whether
+        the service has nothing pending or leased anywhere."""
+        status, doc, _headers = self._request(
+            "POST", "/v1/claims", body={"worker_id": worker_id}
+        )
+        if status == 200 and doc.get("task_id"):
+            return doc, False
+        return None, bool(doc.get("idle"))
+
+    def heartbeat(self, task_id: str, worker_id: str) -> bool:
+        """Refresh a lease; ``False`` once it is no longer ours (409)."""
+        status, _doc, _headers = self._request(
+            "PUT", f"/v1/leases/{task_id}", body={"worker_id": worker_id}
+        )
+        return status != 409
+
+    def commit(self, task_id: str, worker_id: str, **fields: Any) -> str:
+        """Post a result: ``committed`` / ``duplicate`` / ``unknown``."""
+        _status, doc, _headers = self._request(
+            "POST",
+            f"/v1/tasks/{task_id}/result",
+            body={"worker_id": worker_id, **fields},
+        )
+        return doc.get("status", "unknown")
+
+    def fail(self, task_id: str, worker_id: str, **fields: Any) -> str:
+        """Report a failed attempt: ``failed`` / ``ignored``."""
+        _status, doc, _headers = self._request(
+            "POST",
+            f"/v1/tasks/{task_id}/fail",
+            body={"worker_id": worker_id, **fields},
+        )
+        return doc.get("status", "unknown")
+
     # -- graceful degradation ---------------------------------------------
 
     def run_sweep(

@@ -397,9 +397,9 @@ class ServiceHTTPServer:
                 return 404, {"error": f"unknown task {task_id}"}, {}
             payload = record.as_dict()
             payload["cached"] = orch.cache.get(task_id) is not None
-            lease = orch._remote.get(task_id)
-            if lease is not None:
-                payload["remote_worker"] = lease.worker_id
+            worker = orch.remote_leases().get(task_id)
+            if worker is not None:
+                payload["remote_worker"] = worker
         return 200, payload, {"ETag": etag}
 
     def _get_result(
@@ -424,7 +424,7 @@ class ServiceHTTPServer:
                 "draining": orch.draining,
                 "counts": orch.state.counts(),
                 "queue_depth": orch.state.queue_depth,
-                "remote_leases": len(orch._remote),
+                "remote_leases": len(orch.remote_leases()),
                 "run_id": orch.trace.run_id,
                 "journal_seq": orch.journal.seq,
             }
@@ -455,12 +455,7 @@ class ServiceHTTPServer:
             self._worker_tasks.inc(worker=worker_id, outcome="claimed")
             return 200, shard, {}
         with orch.lock:
-            idle = (
-                not orch.state.by_state(TaskState.PENDING)
-                and not orch.state.by_state(TaskState.LEASED)
-                and not orch._inflight
-                and not orch._remote
-            )
+            idle = orch.state.queue_depth == 0
         return 200, {"task": None, "idle": idle}, {}
 
     def _put_heartbeat(
@@ -511,7 +506,7 @@ class ServiceHTTPServer:
             worker_id,
             error=str(body.get("error", "remote failure")),
             error_type=str(body.get("error_type", "RemoteWorkerError")),
-            traceback_text=body.get("traceback"),
+            traceback=body.get("traceback"),
         )
         self._worker_tasks.inc(worker=worker_id, outcome=status)
         return 200, {"status": status, "task_id": task_id}, {}

@@ -1,95 +1,74 @@
-"""The remote sweep worker: ``repro-plc work --connect URL``.
+"""The sweep worker loop, run by remote hosts and local workers alike.
 
-A remote worker is a peer process (possibly on another machine) that
-claims (point, repetition) shards from the HTTP front end, executes
-them through the *same* :func:`repro.runner.tasks.run_task` entry as
-every other execution path — so seeds, cache keys and checkpoint
-behaviour are identical — and commits results back over HTTP.
+A worker claims (point, repetition) shards, executes each through the
+*same* :func:`repro.runner.tasks.run_task` entry as every other
+execution path — so seeds, cache keys and checkpoint behaviour are
+identical — heartbeats its lease while it computes, and commits the
+result or reports the failure.  :func:`work_loop` speaks that protocol
+through a *client* with four calls — ``claim``, ``heartbeat``,
+``commit``, ``fail`` — and two clients carry it:
 
-Partition-safety contract, mirroring the local lease discipline:
+- :class:`~repro.service.net.client.SweepClient`, over HTTP:
+  ``repro-plc work --connect URL`` on any machine;
+- :class:`PipeClient`, over a ``multiprocessing`` pipe: the local
+  workers :meth:`Orchestrator.serve
+  <repro.service.orchestrator.Orchestrator.serve>` starts
+  (:func:`run_local_worker`).
 
-- **Liveness is heartbeat recency only.**  A daemon thread PUTs
-  ``/v1/leases/<task_id>`` every ``heartbeat_interval_s`` (the server
-  names the cadence in the claim response).  Cross-host pids mean
-  nothing; silence past the TTL is what gets a worker declared dead
-  and its shard reclaimed — without consuming a retry attempt.
-- **A lost lease does not abort the attempt.**  If a heartbeat comes
-  back 409 (the watchdog reclaimed us during a partition), the worker
-  *keeps computing* and still posts its result: commits are idempotent
-  on the task's cache key, so the orchestrator accepts the bits
-  whichever attempt lands first and answers ``duplicate`` to the rest.
-- **A lost ack converges.**  The result POST rides the
-  :class:`~repro.service.net.client.SweepClient` retry loop; a
-  response lost to a partition between commit and ack is retried and
-  answered ``duplicate`` — same bits, no recomputation.
+Partition-safety contract:
 
-The worker never touches the service directory: its entire interface
-is the wire protocol, which is what makes multi-host sharding safe.
+- **Liveness is heartbeat recency only.**  A daemon thread heartbeats
+  the lease every ``heartbeat_interval_s`` (the claim names the
+  cadence).  Silence past the TTL is what gets a worker declared dead
+  and its shard taken back.
+- **A lost lease does not abort the attempt.**  If a heartbeat is
+  refused (the watchdog reclaimed the lease during a partition), the
+  worker *keeps computing* and still commits: commits are idempotent on
+  the task's cache key, so the orchestrator accepts the bits whichever
+  attempt lands first and answers ``duplicate`` to the rest.
+- **A lost ack converges.**  Over HTTP the commit rides the
+  :class:`~repro.service.net.client.SweepClient` retry loop; a response
+  lost between commit and ack is retried and answered ``duplicate`` —
+  same bits, no recomputation.
+
+A remote worker never touches the service directory: its entire
+interface is the wire protocol, which is what makes multi-host
+sharding safe.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 import socket
 import threading
 import time
 import traceback
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from ...runner.tasks import run_task
+from ..orchestrator import LOCAL_STOP
 from ..worker import task_from_description
 from .client import AllHostsUnreachable, SweepClient
 
-__all__ = ["work_loop"]
+__all__ = ["PipeClient", "run_local_worker", "work_loop"]
 
 
 def _default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-class _HeartbeatLoop:
-    """Daemon thread PUTting lease heartbeats for one claimed shard."""
-
-    def __init__(
-        self,
-        client: SweepClient,
-        task_id: str,
-        worker_id: str,
-        interval_s: float,
-    ) -> None:
-        self._client = client
-        self._task_id = task_id
-        self._worker_id = worker_id
-        self._interval_s = max(0.05, interval_s)
-        self._stop = threading.Event()
-        #: Set when the server answered 409: the lease was reclaimed.
-        self.lost = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name=f"heartbeat-{task_id[:12]}", daemon=True
-        )
-
-    def start(self) -> "_HeartbeatLoop":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=2.0)
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval_s):
-            try:
-                status, _doc, _headers = self._client._request(
-                    "PUT",
-                    f"/v1/leases/{self._task_id}",
-                    body={"worker_id": self._worker_id},
-                )
-            except AllHostsUnreachable:
-                # Partitioned from the server: keep computing.  The
-                # watchdog may reclaim us; the commit still converges.
-                continue
-            if status == 409:
-                self.lost.set()
+def _heartbeat(client, task_id, worker_id, interval_s, stop, lost) -> None:
+    """Heartbeat one claimed shard's lease until ``stop`` is set; set
+    ``lost`` when the orchestrator refuses (the lease was reclaimed)."""
+    while not stop.wait(interval_s):
+        try:
+            if not client.heartbeat(task_id, worker_id):
+                lost.set()
+        except AllHostsUnreachable:
+            # Cut off from the orchestrator: keep computing.  The
+            # watchdog may reclaim us; the commit still converges.
+            continue
 
 
 def work_loop(
@@ -99,20 +78,21 @@ def work_loop(
     exit_when_idle: bool = False,
     idle_grace_s: float = 0.0,
     give_up_after_s: Optional[float] = None,
-    client: Optional[SweepClient] = None,
+    client: Optional[Any] = None,
     max_tasks: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Claim and execute shards until idle/unreachable bounds are hit.
 
-    Returns a stats dict (``completed`` / ``duplicate`` / ``failed`` /
-    ``lost_leases`` / ``claims`` / ``unreachable_s``).  With
-    ``exit_when_idle`` the loop ends once the server has reported
-    nothing claimable anywhere for ``idle_grace_s`` continuously — a
-    worker started *before* the first submission needs the grace to
-    survive until work arrives.  ``give_up_after_s`` bounds how long
-    the worker keeps polling through an unreachable or draining
-    service (``None`` = forever, the production default — workers
-    outlive restarts).
+    ``client`` carries the protocol (a :class:`SweepClient` for
+    ``urls`` by default).  Returns a stats dict (``completed`` /
+    ``duplicate`` / ``failed`` / ``lost_leases`` / ``claims`` /
+    ``unreachable_s``).  With ``exit_when_idle`` the loop ends once the
+    server has reported nothing claimable anywhere for ``idle_grace_s``
+    continuously — a worker started *before* the first submission needs
+    the grace to survive until work arrives.  ``give_up_after_s`` bounds
+    how long the worker keeps polling through an unreachable or
+    draining service (``None`` = forever, the production default —
+    workers outlive restarts).
     """
     worker_id = worker_id or _default_worker_id()
     client = client or SweepClient(urls, role="worker", retries=1)
@@ -131,9 +111,7 @@ def work_loop(
         if max_tasks is not None and stats["claims"] >= max_tasks:
             return stats
         try:
-            status, shard, _headers = client._request(
-                "POST", "/v1/claims", body={"worker_id": worker_id}
-            )
+            shard, idle = client.claim(worker_id)
         except AllHostsUnreachable:
             now = time.monotonic()
             if unreachable_since is None:
@@ -147,9 +125,8 @@ def work_loop(
             time.sleep(poll_s)
             continue
         unreachable_since = None
-        if status != 200 or not shard.get("task_id"):
-            # Draining (503 surfaces as a retried pass above) or idle.
-            if shard.get("idle") and exit_when_idle:
+        if shard is None:
+            if idle and exit_when_idle:
                 now = time.monotonic()
                 if idle_since is None:
                     idle_since = now
@@ -163,58 +140,139 @@ def work_loop(
         idle_since = None
         stats["claims"] += 1
         task_id = shard["task_id"]
-        task = task_from_description(shard["task"])
-        beat = _HeartbeatLoop(
-            client,
-            task_id,
-            worker_id,
-            interval_s=float(shard.get("heartbeat_interval_s", 1.0)),
-        ).start()
+        task = task_from_description(
+            shard["task"], runtime=shard.get("runtime")
+        )
+        stop, lost = threading.Event(), threading.Event()
+        interval_s = max(0.05, float(shard.get("heartbeat_interval_s", 1.0)))
+        beat = threading.Thread(
+            target=_heartbeat,
+            args=(client, task_id, worker_id, interval_s, stop, lost),
+            name=f"heartbeat-{task_id[:12]}",
+            daemon=True,
+        )
+        beat.start()
         started = time.perf_counter()
+        failure = None
         try:
             envelope = run_task(task)
-        except BaseException as exc:
-            beat.stop()
-            if beat.lost.is_set():
-                stats["lost_leases"] += 1
+        except Exception as exc:
+            failure = {
+                "error": str(exc),
+                "error_type": type(exc).__name__,
+                "traceback": traceback.format_exc(),
+            }
+        stop.set()
+        beat.join(timeout=2.0)
+        stats["lost_leases"] += lost.is_set()
+        if failure is not None:
+            stats["failed"] += 1
             try:
-                client._request(
-                    "POST",
-                    f"/v1/tasks/{task_id}/fail",
-                    body={
-                        "worker_id": worker_id,
-                        "error": str(exc),
-                        "error_type": type(exc).__name__,
-                        "traceback": traceback.format_exc(),
-                    },
-                )
+                client.fail(task_id, worker_id, **failure)
             except AllHostsUnreachable:
                 pass  # the watchdog will reclaim the silent lease
-            stats["failed"] += 1
             continue
-        beat.stop()
-        if beat.lost.is_set():
-            stats["lost_leases"] += 1
-        body = {
-            "worker_id": worker_id,
-            "result": envelope.get("result"),
-            "elapsed_s": envelope.get(
-                "elapsed_s", time.perf_counter() - started
-            ),
-            "worker_pid": envelope.get("worker_pid", os.getpid()),
-            "spans": envelope.get("spans"),
-        }
         try:
-            _status, doc, _h = client._request(
-                "POST", f"/v1/tasks/{task_id}/result", body=body
+            outcome = client.commit(
+                task_id,
+                worker_id,
+                result=envelope.get("result"),
+                elapsed_s=envelope.get(
+                    "elapsed_s", time.perf_counter() - started
+                ),
+                worker_pid=envelope.get("worker_pid", os.getpid()),
+                spans=envelope.get("spans"),
             )
         except AllHostsUnreachable:
             # Commit lost to a partition: the reclaim + redelivery path
             # recomputes bit-identically; nothing more we can do here.
             continue
-        outcome = doc.get("status", "unknown")
         if outcome == "committed":
             stats["completed"] += 1
         elif outcome == "duplicate":
             stats["duplicate"] += 1
-    return stats
+
+
+class PipeClient:
+    """The protocol's local carrier: one pipe to the orchestrator.
+
+    Each call is one ``(name, task_id, fields)`` message answered by the
+    orchestrator's loop with the return value of the matching
+    ``Orchestrator.remote_*`` method — the pipe itself names the
+    worker.  A broken pipe, or the :data:`~repro.service.orchestrator
+    .LOCAL_STOP` answer to a claim, raises :class:`AllHostsUnreachable`,
+    which :func:`work_loop` already treats as "no orchestrator".
+    """
+
+    def __init__(self, conn: Any) -> None:
+        self._conn = conn
+        # The heartbeat thread and the loop share the pipe.
+        self._lock = threading.Lock()
+
+    def _call(self, name: str, task_id: Optional[str] = None, **fields):
+        with self._lock:
+            try:
+                self._conn.send((name, task_id, fields))
+                return self._conn.recv()
+            except (EOFError, OSError) as exc:
+                raise AllHostsUnreachable(
+                    "orchestrator pipe closed", last_error=exc
+                ) from exc
+
+    def claim(self, worker_id: str) -> Tuple[Optional[Dict[str, Any]], bool]:
+        shard = self._call("claim")
+        if shard == LOCAL_STOP:
+            raise AllHostsUnreachable("orchestrator stopping")
+        return shard, False
+
+    def heartbeat(self, task_id: str, worker_id: str) -> bool:
+        return self._call("heartbeat", task_id)
+
+    def commit(self, task_id: str, worker_id: str, **fields: Any) -> str:
+        return self._call("commit", task_id, **fields)
+
+    def fail(self, task_id: str, worker_id: str, **fields: Any) -> str:
+        return self._call("fail", task_id, **fields)
+
+
+def _exit_when_orphaned(parent_pid: int, interval_s: float) -> None:
+    while True:
+        time.sleep(interval_s / 2)
+        if os.getppid() != parent_pid:
+            os._exit(1)
+
+
+def run_local_worker(
+    conn: Any,
+    worker_id: str,
+    parent_pid: int,
+    poll_s: float,
+    heartbeat_interval_s: float,
+) -> None:
+    """Process target of one local service worker: :func:`work_loop`
+    over a pipe until the orchestrator says stop.
+
+    SIGINT is ignored — a terminal's Ctrl-C reaches the whole process
+    group, and the orchestrator drains instead, giving this worker time
+    to commit — and SIGTERM kills, so the orchestrator can stop a
+    worker whose lease outlived the drain window.  A daemon thread
+    exits the process within one heartbeat interval of its parent's
+    death, idle or busy: under ``fork`` a worker inherits the
+    orchestrator's end of earlier workers' pipes, so neither EOF nor a
+    failed send reliably tells it the orchestrator is gone.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    threading.Thread(
+        target=_exit_when_orphaned,
+        args=(parent_pid, heartbeat_interval_s),
+        name="orphan-check",
+        daemon=True,
+    ).start()
+    work_loop(
+        (),
+        worker_id=worker_id,
+        poll_s=poll_s,
+        give_up_after_s=0.0,
+        client=PipeClient(conn),
+    )

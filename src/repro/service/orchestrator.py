@@ -1,12 +1,28 @@
 """The durable sweep orchestrator: the service's supervising process.
 
 One :class:`Orchestrator` owns one *service directory* — journal,
-inbox, leases, outcomes, quarantine, checkpoints, result cache,
-telemetry — and runs the scheduling loop: admit submissions from the
-inbox, dedupe against the content-addressed result cache, lease pending
-tasks to crash-isolated worker processes, watch their heartbeats,
-collect their outcome envelopes, retry deterministically, quarantine
-poison, and drain cleanly on request.
+inbox, quarantine, checkpoints, result cache, telemetry — and runs the
+scheduling loop: admit submissions from the inbox (a task the
+content-addressed result cache already holds completes on the spot),
+lease pending tasks to workers, watch their heartbeats, commit their
+results, retry deterministically, quarantine poison, and drain cleanly
+on request.
+
+Every worker speaks one protocol — claim, heartbeat, then commit or
+fail (:meth:`~Orchestrator.remote_claim`,
+:meth:`~Orchestrator.remote_heartbeat`,
+:meth:`~Orchestrator.remote_complete`,
+:meth:`~Orchestrator.remote_fail`) — by running
+:func:`~repro.service.net.worker.work_loop` over one of two carriers.
+The ``max_workers`` local worker processes :meth:`Orchestrator.serve`
+starts use a ``multiprocessing`` pipe, which the loop answers while it
+waits between ticks; ``repro-plc work --connect`` hosts use HTTP
+(:mod:`repro.service.net`).  One lease table holds both kinds and one
+watchdog guards it.  They differ only in what a silent or dead lease
+costs: a local worker is this process's own child, so the orchestrator
+knows it died — it is killed if need be, its attempt is consumed and a
+fresh worker takes its place; a silent remote host may merely be
+partitioned, so its lease is reclaimed without consuming an attempt.
 
 Crash-safety discipline (the tentpole invariant):
 
@@ -14,31 +30,30 @@ Crash-safety discipline (the tentpole invariant):
    record *before* it takes effect.  ``kill -9`` between the record and
    the effect is recovered by replaying the journal: the restarted
    orchestrator re-derives the effect from the record.
-2. **Effects are idempotent.**  Re-granting a lease whose worker never
-   spawned re-runs the task bit-identically (same
+2. **Effects are idempotent.**  Re-granting a lease whose shard never
+   reached a worker re-runs the task bit-identically (same
    :class:`~repro.runner.seeding.SeedSpec`); re-committing a result the
-   cache already holds dedupes on the cache key; re-writing an outcome
-   is an atomic replace of identical bytes.
+   cache already holds dedupes on the cache key.
 3. **One commit point.**  A task is *done* when ``task_completed`` is
    journaled.  The result is written to the cache immediately before
    (the ``result_commit`` kill window): dying between the two leaves a
-   cached result and a pending task, and the next dispatch completes it
-   from the cache without recomputation — converging on the same bits.
+   cached result and a leased task, and the restart completes it from
+   the cache without recomputation — converging on the same bits.
 
-Recovery of leases is adopt-or-reclaim: a lease whose worker is alive
-with a fresh heartbeat is *adopted* (the new orchestrator watches its
-outcome file — workers can outlive the orchestrator that spawned
-them); anything else is reclaimed without consuming an attempt (a dead
-orchestrator is not evidence against the task).
+Restart reclaims every lease the previous incarnation held without
+consuming an attempt: a dead orchestrator is not evidence against the
+task.  Its local workers are gone (each exits once its parent is
+gone), and a remote host that is still computing may commit anyway —
+commits converge on the cache key.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import multiprocessing.connection
 import os
 import shutil
-import signal as _signal
 import threading
 import time
 from pathlib import Path
@@ -49,32 +64,25 @@ from ..runner.telemetry import TraceRecorder
 from ..telemetry.openmetrics import write_openmetrics
 from ..telemetry.spans import SpanRecorder
 from .faults import maybe_kill
-from .journal import JOURNAL_FILENAME, JournalWriter
-from .leases import (
-    LEASES_DIRNAME,
-    classify_lease,
-    heartbeat_path,
-    pid_alive,
-    read_heartbeat_pid,
-)
+from .journal import JOURNAL_FILENAME, JournalWriter, read_journal
 from .quarantine import QUARANTINE_DIRNAME, write_quarantine_record
 from .signals import handle_signals
-from .state import ServiceState, SubmitRecord, TaskState, fold_journal
+from .state import (
+    ServiceState,
+    SubmitRecord,
+    TaskRecord,
+    TaskState,
+    fold_journal,
+)
 from .submit import (
     INBOX_DIRNAME,
     REJECTED_DIRNAME,
     read_submission,
 )
-from .worker import (
-    OUTCOMES_DIRNAME,
-    outcome_path,
-    read_outcome,
-    task_from_description,
-    worker_main,
-)
 
 __all__ = [
     "DRAIN_MARKER",
+    "LOCAL_STOP",
     "Orchestrator",
     "ServiceConfig",
     "ServicePaths",
@@ -87,6 +95,14 @@ DRAIN_MARKER = "DRAIN"
 
 #: Pid file of the running orchestrator (presence + live pid = serving).
 PID_FILENAME = "serve.pid"
+
+#: The answer to a local worker's claim once the orchestrator drains:
+#: leave the worker loop and exit.
+LOCAL_STOP = "stop"
+
+#: Seconds idle local workers get to take their stop and exit cleanly
+#: before they are killed.
+_STOP_GRACE_S = 5.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,14 +126,6 @@ class ServicePaths:
     @property
     def rejected(self) -> Path:
         return self.root / REJECTED_DIRNAME
-
-    @property
-    def leases(self) -> Path:
-        return self.root / LEASES_DIRNAME
-
-    @property
-    def outcomes(self) -> Path:
-        return self.root / OUTCOMES_DIRNAME
 
     @property
     def quarantine(self) -> Path:
@@ -163,21 +171,23 @@ class ServiceConfig:
     """
 
     service_dir: Union[str, Path]
-    #: Concurrently leased worker processes.
+    #: Local worker processes ``serve`` keeps running.
     max_workers: int = 2
     #: Deterministic retries before quarantine: a task failing
     #: ``max_retries + 1`` attempts is poison, not unlucky.
     max_retries: int = 2
     #: Heartbeat silence tolerated before a lease is stale.
     lease_ttl_s: float = 10.0
-    #: How often workers touch their heartbeat file.
+    #: How often workers heartbeat their lease (and how often a local
+    #: worker checks that its orchestrator is still alive).
     heartbeat_interval_s: float = 1.0
     #: Hard per-attempt wall-clock limit (``None`` = unlimited).
     task_timeout_s: Optional[float] = None
     #: Admission control: a submission that would push pending+leased
     #: past this depth is rejected (backpressure, not silent loss).
     max_queue_depth: int = 10000
-    #: Scheduling-loop poll period.
+    #: Scheduling-loop poll period, and how often an idle local worker
+    #: claims again.
     poll_interval_s: float = 0.05
     #: Checkpoint cadence for long simulate/collision points
     #: (``None`` = only the runner defaults).
@@ -195,38 +205,29 @@ class ServiceConfig:
 
 
 @dataclasses.dataclass
-class _RemoteLease:
-    """One task leased to a remote worker host over HTTP.
+class _Lease:
+    """One task leased to a worker, local or remote.
 
-    Liveness is heartbeat recency only — a remote pid means nothing on
-    this host, so the watchdog's verdict for remote leases is purely
-    "how long since the last heartbeat PUT".  A silent host is
-    classified dead and its lease reclaimed *without* consuming a retry
-    attempt (losing contact is not evidence against the task).
+    Liveness is heartbeat recency for both kinds: the watchdog asks how
+    long ago the last heartbeat arrived, never whether a pid exists (a
+    remote pid means nothing on this host).
     """
 
     task_id: str
     worker_id: str
-    attempt: int
     granted_monotonic: float
     last_beat_monotonic: float
     span_id: Optional[str] = None
-    task_index: Optional[int] = None
 
 
 @dataclasses.dataclass
-class _Inflight:
-    """One leased task this incarnation is watching."""
+class _LocalWorker:
+    """One long-lived local worker process and this end of its pipe."""
 
-    task_id: str
-    task: Any  # the rebuilt Task
-    attempt: int
-    granted_monotonic: float
-    span_id: Optional[str] = None
-    task_index: Optional[int] = None
-    #: The worker process we spawned, or ``None`` for a lease adopted
-    #: from a previous incarnation (pid known only via heartbeat).
-    proc: Optional[multiprocessing.Process] = None
+    worker_id: str
+    proc: multiprocessing.Process
+    #: ``None`` once the pipe reached EOF; the watchdog settles the exit.
+    conn: Optional[multiprocessing.connection.Connection]
 
 
 class Orchestrator:
@@ -244,9 +245,11 @@ class Orchestrator:
         self.state: ServiceState = fold_journal(self.paths.journal)
         self.trace = TraceRecorder()
         self.spans = SpanRecorder(run_id=self.trace.run_id)
-        self._inflight: Dict[str, _Inflight] = {}
-        #: Tasks leased to remote worker hosts over HTTP.
-        self._remote: Dict[str, _RemoteLease] = {}
+        #: Every lease this incarnation granted, local or remote.
+        self._leases: Dict[str, _Lease] = {}
+        #: The local worker processes, by worker id.
+        self._workers: Dict[str, _LocalWorker] = {}
+        self._spawned = 0
         #: Serializes every state mutation between the scheduling loop
         #: and the HTTP handler threads.  The journal keeps exactly one
         #: *process* writer; within that process, this lock keeps one
@@ -254,7 +257,8 @@ class Orchestrator:
         #: same helpers the loop uses.
         self.lock = threading.RLock()
         #: Set while a drain is in progress — the HTTP layer answers
-        #: 503 + Retry-After to new submissions and claims.
+        #: 503 + Retry-After to new submissions and claims, and local
+        #: workers are told to stop.
         self.draining = False
         #: Set once the journal is closed; every mutating HTTP route
         #: refuses after this point.
@@ -274,11 +278,13 @@ class Orchestrator:
     # -- recovery ----------------------------------------------------------
 
     def _seed_failure_history(self) -> None:
-        from .journal import read_journal
-
         records, _ = read_journal(self.paths.journal)
         for record in records:
-            if record.get("event") == "task_failed":
+            event = record.get("event")
+            if event == "task_enqueued":
+                # A resubmission starts a fresh attempt budget.
+                self._failures.pop(record.get("task_id"), None)
+            elif event == "task_failed":
                 self._failures.setdefault(record["task_id"], []).append(
                     {
                         "attempt": record.get("attempt"),
@@ -290,40 +296,19 @@ class Orchestrator:
                 )
         self._next_task_index = len(self.state.tasks)
 
-    def _recover_leases(self) -> None:
-        """Adopt-or-reclaim every lease the previous incarnation held."""
+    def _recover(self) -> None:
+        """Reclaim every lease the previous incarnation held, then close
+        the ``result_commit`` crash window from the cache."""
         for record in self.state.by_state(TaskState.LEASED):
-            hb = heartbeat_path(self.paths.leases, record.task_id)
-            pid = read_heartbeat_pid(hb)
-            attempt = record.attempts
-            if (
-                pid_alive(pid)
-                and classify_lease(
-                    hb,
-                    self.config.lease_ttl_s,
-                    elapsed_s=0.0,
-                    task_timeout_s=None,
-                )
-                == "live"
-            ):
-                # The worker survived its orchestrator.  Adopt: watch
-                # its outcome file like any other in-flight task.
-                self._inflight[record.task_id] = _Inflight(
-                    task_id=record.task_id,
-                    task=self._build_task(record.task_id, record.description),
-                    attempt=attempt,
-                    granted_monotonic=time.monotonic(),
-                )
-                continue
             self.journal.append(
                 "lease_reclaimed",
                 task_id=record.task_id,
                 reason="orchestrator restart",
-                worker_pid=pid,
             )
-            self._remove_lease_files(record.task_id)
             record.state = TaskState.PENDING
             record.lease = None
+        for record in self.state.by_state(TaskState.PENDING):
+            self._complete_if_cached(record)
 
     # -- serve loop --------------------------------------------------------
 
@@ -333,7 +318,8 @@ class Orchestrator:
         ``exit_when_idle=True`` returns once the inbox is empty and no
         task is pending or leased — the mode tests, CI smoke, and
         one-shot batch deployments use.  Without it the loop runs until
-        a drain request (SIGTERM/SIGINT or the ``DRAIN`` marker).
+        a drain request (SIGTERM/SIGINT or the ``DRAIN`` marker).  The
+        local workers live exactly as long as this call.
         """
         cfg = self.config
         self.paths.pid_file.parent.mkdir(parents=True, exist_ok=True)
@@ -355,8 +341,9 @@ class Orchestrator:
             detail=f"service tasks={len(self.state.tasks)}",
             span_id=self._sweep_span,
         )
-        with self.lock:
-            self._recover_leases()
+        if resumed:
+            with self.lock:
+                self._recover()
         drained = False
         idle_since: Optional[float] = None
         try:
@@ -370,14 +357,9 @@ class Orchestrator:
                     with self.lock:
                         self._scan_inbox()
                         self._watchdog()
-                        self._collect_finished()
-                        self._dispatch_pending()
-                        idle = (
-                            not self._inflight
-                            and not self._remote
-                            and not self.state.by_state(TaskState.PENDING)
-                            and not self.state.by_state(TaskState.LEASED)
-                            and not list(self.paths.inbox.glob("*.json"))
+                        self._spawn_workers()
+                        idle = self.state.queue_depth == 0 and not list(
+                            self.paths.inbox.glob("*.json")
                         )
                     if exit_when_idle and idle:
                         now = time.monotonic()
@@ -387,17 +369,16 @@ class Orchestrator:
                             break
                     elif not idle:
                         idle_since = None
-                    time.sleep(cfg.poll_interval_s)
+                    self._answer_workers(cfg.poll_interval_s)
         finally:
             # Truthful shutdown telemetry even on an unexpected error:
-            # spans close, the trace flushes, the journal records the
-            # stop — the restart path depends on none of this, but the
-            # operator's status view does.
+            # workers stop, spans close, the trace flushes, the journal
+            # records the stop — the restart path depends on none of
+            # this, but the operator's status view does.
+            self.draining = True
+            self._stop_workers()
             with self.lock:
-                self.draining = True
-                if not drained:
-                    self._release_inflight(terminate=False)
-                    self._release_remote()
+                self._release_leases("drain" if drained else "shutdown")
                 self.state.incarnations.append(
                     self.journal.append(
                         "service_stop",
@@ -462,9 +443,11 @@ class Orchestrator:
         regardless of how it arrived.  Idempotent by construction: task
         identity is :func:`~repro.runner.cache.cache_key` of each
         description, so a duplicated or retried submission dedupes
-        instead of double-enqueueing.  Returns a verdict dict
-        (``accepted``, ``submit_id``, and either ``task_count`` /
-        ``deduped`` / ``new`` or ``reason``).
+        instead of double-enqueueing.  A newly enqueued task whose
+        result the cache already holds completes here, without a
+        lease.  Returns a verdict dict (``accepted``, ``submit_id``,
+        and either ``task_count`` / ``deduped`` / ``new`` or
+        ``reason``).
         """
         with self.lock:
             descriptions = submission["tasks"]
@@ -525,20 +508,23 @@ class Orchestrator:
                 )
                 record = self.state.tasks.get(task_id)
                 if record is None:
-                    from .state import TaskRecord
-
                     record = self.state.tasks[task_id] = TaskRecord(
                         task_id=task_id
                     )
                 record.state = TaskState.PENDING
                 record.description = description
                 record.submit_id = submit_id
+                # A resubmitted quarantined task gets a fresh attempt
+                # budget (fold_records resets it the same way).
+                record.attempts = 0
+                self._failures.pop(task_id, None)
                 self.trace.record(
                     "queued",
                     task_index=self._task_index(task_id),
                     kind=description.get("kind"),
                     span_id=self._sweep_span,
                 )
+                self._complete_if_cached(record)
             return {
                 "accepted": True,
                 "submit_id": submit_id,
@@ -580,7 +566,30 @@ class Orchestrator:
             except OSError:
                 pass
 
-    # -- dispatch ----------------------------------------------------------
+    def _complete_if_cached(self, record: TaskRecord) -> None:
+        """The cache fast-path, run once as a task becomes pending.
+
+        A result already in the cache — from an earlier sweep, or a
+        commit whose ``task_completed`` a crash cut off — completes the
+        task without a lease.
+        """
+        cached = self.cache.get(record.task_id)
+        if cached is None:
+            return
+        self.journal.append(
+            "task_completed",
+            task_id=record.task_id,
+            source="cache",
+            result_sha256=result_checksum(cached),
+        )
+        record.state = TaskState.COMPLETED
+        record.completed_from = "cache"
+        self.trace.record(
+            "cache_hit",
+            task_index=self._task_index(record.task_id),
+            kind=record.kind,
+            span_id=self._sweep_span,
+        )
 
     def _task_index(self, task_id: str) -> int:
         """Stable per-task slot number for trace events (top view)."""
@@ -590,137 +599,141 @@ class Orchestrator:
             self._next_task_index += 1
         return index
 
-    def _build_task(
-        self, task_id: str, description: Optional[Dict[str, Any]]
-    ):
-        runtime: Dict[str, Any] = {
-            "checkpoint_dir": str(self.paths.checkpoints / task_id),
-            "resume": True,
-            "telemetry": {
-                "run_id": self.trace.run_id,
-                "parent_span_id": self._sweep_span,
-            },
-        }
-        if self.config.checkpoint_every_us is not None:
-            runtime["checkpoint_every_us"] = self.config.checkpoint_every_us
-        return task_from_description(description, runtime=runtime)
+    # -- local workers -----------------------------------------------------
 
-    def _dispatch_pending(self) -> None:
-        for record in self.state.by_state(TaskState.PENDING):
-            if record.description is None:
-                continue  # cannot rebuild; journal damage, leave visible
-            task_id = record.task_id
-            cached = self.cache.get(task_id)
-            if cached is not None:
-                # Completed by a previous incarnation (or a prior
-                # sweep) — the result_commit crash window closes here.
-                self.journal.append(
-                    "task_completed",
-                    task_id=task_id,
-                    source="cache",
-                    result_sha256=result_checksum(cached),
-                )
-                record.state = TaskState.COMPLETED
-                record.completed_from = "cache"
-                self.trace.record(
-                    "cache_hit",
-                    task_index=self._task_index(task_id),
-                    kind=record.kind,
-                    span_id=self._sweep_span,
-                )
-                continue
-            # Capacity check after the cache fast-path: a full (or
-            # zero-local-worker) service still completes cached points
-            # immediately — and ``max_workers=0`` is the pure-remote
-            # mode where only HTTP worker hosts execute.
-            if len(self._inflight) >= self.config.max_workers:
-                continue
-            attempt = record.attempts
-            span_id = self.spans.start(
-                "point",
-                parent_id=self._sweep_span,
-                task_id=task_id,
-                kind=record.kind,
-                attempt=attempt,
-            )
-            self.journal.append(
-                "lease_granted",
-                task_id=task_id,
-                lease_id=f"{os.getpid()}-{self.journal.seq}",
-                ttl_s=self.config.lease_ttl_s,
-                attempt=attempt,
-            )
-            record.state = TaskState.LEASED
-            maybe_kill("lease_grant")
-            task = self._build_task(task_id, record.description)
-            hb = heartbeat_path(self.paths.leases, task_id)
-            try:
-                hb.unlink()
-            except OSError:
-                pass
-            out = outcome_path(self.paths.outcomes, task_id)
-            try:
-                out.unlink()
-            except OSError:
-                pass
+    def _spawn_workers(self) -> None:
+        """Keep ``max_workers`` local workers running (none while
+        draining)."""
+        if self.draining or len(self._workers) >= self.config.max_workers:
+            return
+        from .net.worker import run_local_worker
+
+        while len(self._workers) < self.config.max_workers:
+            self._spawned += 1
+            worker_id = f"local-{os.getpid()}-{self._spawned}"
+            ours, theirs = multiprocessing.Pipe()
             proc = multiprocessing.Process(
-                target=worker_main,
+                target=run_local_worker,
                 args=(
-                    task,
-                    str(hb),
-                    str(out),
+                    theirs,
+                    worker_id,
+                    os.getpid(),
+                    self.config.poll_interval_s,
                     self.config.heartbeat_interval_s,
                 ),
-                name=f"service-worker-{task_id[:12]}",
+                name=f"service-worker-{self._spawned}",
             )
             proc.start()
-            self._inflight[task_id] = _Inflight(
-                task_id=task_id,
-                task=task,
-                attempt=attempt,
-                granted_monotonic=time.monotonic(),
-                span_id=span_id,
-                task_index=self._task_index(task_id),
-                proc=proc,
-            )
-            self.trace.record(
-                "started",
-                task_index=self._inflight[task_id].task_index,
-                kind=record.kind,
-                attempt=attempt,
-                span_id=span_id,
-                parent_id=self._sweep_span,
-            )
+            theirs.close()
+            self._workers[worker_id] = _LocalWorker(worker_id, proc, ours)
 
-    # -- collection / watchdog ---------------------------------------------
-
-    def _collect_finished(self) -> None:
-        for task_id in list(self._inflight):
-            entry = self._inflight[task_id]
-            outcome = read_outcome(
-                outcome_path(self.paths.outcomes, task_id)
-            )
-            if outcome is not None:
-                self._settle(entry, outcome)
+    def _answer_workers(self, timeout_s: float) -> None:
+        """Wait up to ``timeout_s`` for local workers' protocol calls and
+        answer the ones that arrive."""
+        ready = {
+            worker.conn: worker
+            for worker in self._workers.values()
+            if worker.conn is not None
+        }
+        if not ready:
+            time.sleep(timeout_s)
+            return
+        for conn in multiprocessing.connection.wait(list(ready), timeout_s):
+            worker = ready[conn]
+            try:
+                name, task_id, fields = conn.recv()
+            except (EOFError, OSError):
+                conn.close()
+                worker.conn = None
                 continue
-            if entry.proc is not None and not entry.proc.is_alive():
-                # Spawned worker exited without publishing an outcome:
-                # crashed, OOM-killed, or kill -9'd.
-                self._fail(
-                    entry,
-                    error=(
-                        "worker exited without outcome "
-                        f"(exitcode={entry.proc.exitcode})"
-                    ),
-                    error_type="WorkerDied",
-                    worker_pid=entry.proc.pid,
+            with self.lock:
+                reply = self._local_call(
+                    worker.worker_id, name, task_id, fields
                 )
+            try:
+                conn.send(reply)
+            except OSError:
+                pass  # the worker died after asking; the watchdog knows
+
+    def _local_call(
+        self,
+        worker_id: str,
+        name: str,
+        task_id: Optional[str],
+        fields: Dict[str, Any],
+    ) -> Any:
+        """One pipe call, answered by the same method as its HTTP twin.
+
+        The pipe names the worker, so the message carries no worker id.
+        A local claim also carries the runtime the task runs with:
+        checkpoints with resume, and the telemetry ids its ``attempt``
+        span hangs under.
+        """
+        if name == "heartbeat":
+            return self.remote_heartbeat(task_id, worker_id)
+        if name == "commit":
+            return self.remote_complete(task_id, worker_id, **fields)
+        if name == "fail":
+            return self.remote_fail(task_id, worker_id, **fields)
+        if self.draining:
+            return LOCAL_STOP
+        shard = self.remote_claim(worker_id)
+        if shard is not None:
+            runtime: Dict[str, Any] = {
+                "checkpoint_dir": str(
+                    self.paths.checkpoints / shard["task_id"]
+                ),
+                "resume": True,
+                "telemetry": {
+                    "run_id": self.trace.run_id,
+                    "parent_span_id": self._sweep_span,
+                },
+            }
+            if self.config.checkpoint_every_us is not None:
+                runtime["checkpoint_every_us"] = (
+                    self.config.checkpoint_every_us
+                )
+            shard["runtime"] = runtime
+        return shard
+
+    def _stop_workers(self) -> None:
+        """Stop every local worker: none outlives its orchestrator.
+
+        With ``draining`` set, an idle worker is answered
+        :data:`LOCAL_STOP` at its next claim and leaves its loop
+        cleanly.  A worker still holding a lease is past the drain
+        window and is terminated; the caller releases its lease.
+        """
+        busy = {lease.worker_id for lease in self._leases.values()}
+        for worker in self._workers.values():
+            if worker.worker_id in busy:
+                worker.proc.terminate()
+        deadline = time.monotonic() + _STOP_GRACE_S
+        while time.monotonic() < deadline and any(
+            worker.conn is not None for worker in self._workers.values()
+        ):
+            self._answer_workers(self.config.poll_interval_s)
+        for worker in self._workers.values():
+            worker.proc.join(timeout=1.0)
+            if worker.proc.is_alive():
+                worker.proc.kill()
+                worker.proc.join(timeout=5.0)
+            if worker.conn is not None:
+                worker.conn.close()
+        with self.lock:
+            self._workers.clear()
+
+    # -- watchdog ----------------------------------------------------------
 
     def _watchdog(self) -> None:
+        """Settle leases gone silent or past ``task_timeout_s``, and
+        local workers that exited on their own."""
+        # Local heartbeats that queued up while the loop was busy (a
+        # long admission, a kill) count before silence is judged.
+        self._answer_workers(0.0)
         cfg = self.config
         now = time.monotonic()
-        for task_id in list(self._remote):
-            lease = self._remote[task_id]
+        for lease in list(self._leases.values()):
             silent_s = now - lease.last_beat_monotonic
             overrun = (
                 cfg.task_timeout_s is not None
@@ -728,174 +741,77 @@ class Orchestrator:
             )
             if silent_s <= cfg.lease_ttl_s and not overrun:
                 continue
-            # A silent remote host is classified dead — there is no pid
-            # to probe across the wire, heartbeat recency is the only
-            # truth.  Reclaim WITHOUT consuming a retry attempt: losing
-            # contact (partition, host crash) is not evidence against
-            # the task.  If the host was merely partitioned and later
+            verdict = "overrun" if overrun else "silent"
+            worker = self._workers.pop(lease.worker_id, None)
+            if worker is not None:
+                # Our own child: we know it stopped working, so the
+                # attempt counts.  Kill it; a fresh worker replaces it.
+                worker.proc.kill()
+                worker.proc.join(timeout=5.0)
+                if worker.conn is not None:
+                    worker.conn.close()
+                self._record_failure(
+                    lease,
+                    error=f"watchdog reclaim: {verdict} lease",
+                    error_type="Watchdog",
+                    worker_pid=worker.proc.pid,
+                )
+                continue
+            # A silent remote host may be dead or merely partitioned;
+            # heartbeat recency is the only truth across the wire.
+            # Reclaim WITHOUT consuming a retry attempt: losing contact
+            # is not evidence against the task.  If the host later
             # commits its result, remote_complete converges on the
             # cache key (duplicate commits are idempotent).
-            verdict = "overrun" if overrun else "dead"
             self.journal.append(
                 "lease_reclaimed",
-                task_id=task_id,
+                task_id=lease.task_id,
                 reason=f"watchdog: remote {verdict} "
                 f"(silent {silent_s:.1f}s)",
                 worker=lease.worker_id,
             )
-            record = self.state.tasks.get(task_id)
-            if record is not None and record.state == TaskState.LEASED:
-                record.state = TaskState.PENDING
-                record.lease = None
-            del self._remote[task_id]
-            if lease.span_id:
-                self.spans.end(lease.span_id, status="aborted")
-        for task_id in list(self._inflight):
-            entry = self._inflight[task_id]
-            if entry.proc is not None and entry.proc.is_alive() is False:
-                continue  # _collect_finished handles exited procs
-            hb = heartbeat_path(self.paths.leases, task_id)
-            verdict = classify_lease(
-                hb,
-                cfg.lease_ttl_s,
-                elapsed_s=time.monotonic() - entry.granted_monotonic,
-                task_timeout_s=cfg.task_timeout_s,
-            )
-            if verdict == "live":
+            self._requeue(lease)
+        for worker in list(self._workers.values()):
+            if worker.proc.is_alive():
                 continue
-            # Don't race a worker that published its outcome and is
-            # merely slow to exit.
-            if read_outcome(outcome_path(self.paths.outcomes, task_id)):
-                continue
-            pid = (
-                entry.proc.pid
-                if entry.proc is not None
-                else read_heartbeat_pid(hb)
-            )
-            if verdict in ("stale", "overrun") and pid_alive(pid):
-                try:
-                    os.kill(pid, _signal.SIGKILL)
-                except OSError:
-                    pass
-                if entry.proc is not None:
-                    entry.proc.join(timeout=5.0)
-            if entry.proc is None:
-                # Adopted orphan went dead/stale: reclaim without
-                # consuming an attempt — we never saw it fail, we only
-                # lost contact.
-                self.journal.append(
-                    "lease_reclaimed",
-                    task_id=task_id,
-                    reason=f"watchdog: {verdict}",
-                    worker_pid=pid,
-                )
-                record = self.state.tasks[task_id]
-                record.state = TaskState.PENDING
-                record.lease = None
-                self._remove_lease_files(task_id)
-                del self._inflight[task_id]
-                if entry.span_id:
-                    self.spans.end(entry.span_id, status="aborted")
-            else:
-                self._fail(
-                    entry,
-                    error=f"watchdog reclaim: {verdict} lease",
-                    error_type="Watchdog",
-                    worker_pid=pid,
-                )
+            # Exited on its own (crash, OOM kill, os._exit): a lease it
+            # held is one failed attempt.  Its pipe's EOF adds nothing.
+            del self._workers[worker.worker_id]
+            if worker.conn is not None:
+                worker.conn.close()
+            for lease in list(self._leases.values()):
+                if lease.worker_id == worker.worker_id:
+                    self._record_failure(
+                        lease,
+                        error="worker exited mid-task "
+                        f"(exitcode={worker.proc.exitcode})",
+                        error_type="WorkerDied",
+                        worker_pid=worker.proc.pid,
+                    )
 
-    def _settle(
-        self, entry: _Inflight, outcome: Dict[str, Any]
-    ) -> None:
-        task_id = entry.task_id
-        record = self.state.tasks[task_id]
-        if entry.proc is not None:
-            entry.proc.join(timeout=5.0)
-        if outcome.get("ok"):
-            envelope = outcome.get("envelope") or {}
-            result = envelope.get("result")
-            if isinstance(result, dict):
-                self.cache.put(
-                    task_id, result, record.description or {}
-                )
-                maybe_kill("result_commit")
-                self.journal.append(
-                    "task_completed",
-                    task_id=task_id,
-                    source="worker",
-                    result_sha256=result_checksum(result),
-                    worker_pid=envelope.get("worker_pid"),
-                    elapsed_s=envelope.get("elapsed_s"),
-                )
-                record.state = TaskState.COMPLETED
-                record.completed_from = "worker"
-                record.lease = None
-                spans = envelope.get("spans")
-                if spans:
-                    self.spans.adopt(spans)
-                self.trace.record(
-                    "finished",
-                    task_index=entry.task_index,
-                    kind=record.kind,
-                    attempt=entry.attempt,
-                    duration_s=envelope.get("elapsed_s"),
-                    worker_pid=envelope.get("worker_pid"),
-                    span_id=entry.span_id,
-                )
-                if entry.span_id:
-                    self.spans.end(entry.span_id, status="ok")
-                self._remove_lease_files(task_id)
-                del self._inflight[task_id]
-                return
-            outcome = {
-                "ok": False,
-                "error": "worker outcome carried no result dict",
-                "error_type": "BadOutcome",
-            }
-        self._fail(
-            entry,
-            error=str(outcome.get("error", "unknown")),
-            error_type=str(outcome.get("error_type", "Unknown")),
-            traceback_text=outcome.get("traceback"),
-            worker_pid=(
-                entry.proc.pid if entry.proc is not None else None
-            ),
-        )
-
-    def _fail(
-        self,
-        entry: _Inflight,
-        error: str,
-        error_type: str,
-        traceback_text: Optional[str] = None,
-        worker_pid: Optional[int] = None,
-    ) -> None:
-        del self._inflight[entry.task_id]
-        self._record_failure(
-            entry.task_id,
-            error=error,
-            error_type=error_type,
-            traceback_text=traceback_text,
-            worker_pid=worker_pid,
-            span_id=entry.span_id,
-            task_index=entry.task_index,
-        )
+    def _requeue(self, lease: _Lease) -> None:
+        """Return a leased task to the queue without consuming an
+        attempt (reclaim or release)."""
+        del self._leases[lease.task_id]
+        record = self.state.tasks.get(lease.task_id)
+        if record is not None and record.state == TaskState.LEASED:
+            record.state = TaskState.PENDING
+            record.lease = None
+        if lease.span_id:
+            self.spans.end(lease.span_id, status="aborted")
 
     def _record_failure(
         self,
-        task_id: str,
+        lease: _Lease,
         *,
         error: str,
         error_type: str,
         traceback_text: Optional[str] = None,
         worker_pid: Optional[int] = None,
-        worker_id: Optional[str] = None,
-        span_id: Optional[str] = None,
-        task_index: Optional[int] = None,
     ) -> None:
-        """One failed attempt: journal, retry-or-quarantine.  Shared by
-        the local worker paths and the remote ``/v1/tasks/<id>/fail``
-        route."""
+        """One failed attempt: journal, then retry or quarantine."""
+        task_id = lease.task_id
+        del self._leases[task_id]
         record = self.state.tasks[task_id]
         attempt = record.attempts + 1
         self.journal.append(
@@ -905,7 +821,7 @@ class Orchestrator:
             error=error,
             error_type=error_type,
             worker_pid=worker_pid,
-            worker=worker_id,
+            worker=lease.worker_id,
         )
         record.attempts = attempt
         record.last_error = error
@@ -919,12 +835,11 @@ class Orchestrator:
                 "traceback": traceback_text,
                 "epoch_s": time.time(),
                 "worker_pid": worker_pid,
-                "worker": worker_id,
+                "worker": lease.worker_id,
             }
         )
-        self._remove_lease_files(task_id)
-        if span_id:
-            self.spans.end(span_id, status="error")
+        if lease.span_id:
+            self.spans.end(lease.span_id, status="error")
         if attempt > self.config.max_retries:
             record_path = write_quarantine_record(
                 self.paths.quarantine,
@@ -932,7 +847,7 @@ class Orchestrator:
                 record.description or {},
                 self._failures[task_id],
                 run_id=self.trace.run_id,
-                span_id=span_id,
+                span_id=lease.span_id,
             )
             self.journal.append(
                 "task_quarantined",
@@ -942,112 +857,91 @@ class Orchestrator:
             )
             record.state = TaskState.QUARANTINED
             record.quarantine_record = str(record_path)
-            self.trace.record(
-                "failed",
-                task_index=task_index,
-                kind=record.kind,
-                attempt=attempt,
-                error=f"{error_type}: {error}",
-                span_id=span_id,
-            )
+            event = "failed"
         else:
             record.state = TaskState.PENDING
-            self.trace.record(
-                "retried",
-                task_index=task_index,
-                kind=record.kind,
-                attempt=attempt,
-                error=f"{error_type}: {error}",
-                span_id=span_id,
-            )
+            event = "retried"
+        self.trace.record(
+            event,
+            task_index=self._task_index(task_id),
+            kind=record.kind,
+            attempt=attempt,
+            error=f"{error_type}: {error}",
+            span_id=lease.span_id,
+        )
 
-    # -- remote sharding (the HTTP worker protocol) ------------------------
+    # -- the worker protocol (local pipe and HTTP alike) -------------------
 
     def remote_claim(self, worker_id: str) -> Optional[Dict[str, Any]]:
-        """Lease one pending task to a remote worker host; ``None`` when
-        nothing is claimable.
+        """Lease one pending task to ``worker_id``; ``None`` when nothing
+        is claimable.
 
-        The remote twin of ``_dispatch_pending``'s spawn branch: same
-        journal record (``lease_granted``, plus the worker id), same
-        cache fast-path (an already-cached pending task is completed
-        here, never shipped), same attempt accounting.  The returned
-        shard carries the full task description — the remote host
-        rebuilds the :class:`~repro.runner.tasks.Task` with its exact
+        The one claim path: journal ``lease_granted`` (with the worker
+        id) before the shard leaves, start the ``point`` span, and hand
+        back the full task description — the worker rebuilds the
+        :class:`~repro.runner.tasks.Task` with its exact
         :class:`~repro.runner.seeding.SeedSpec`, so where a task runs
         can never change its bits.
         """
         with self.lock:
             if self.draining or self.closed:
                 return None
-            for record in self.state.by_state(TaskState.PENDING):
-                if record.description is None:
-                    continue
-                task_id = record.task_id
-                cached = self.cache.get(task_id)
-                if cached is not None:
-                    self.journal.append(
-                        "task_completed",
-                        task_id=task_id,
-                        source="cache",
-                        result_sha256=result_checksum(cached),
-                    )
-                    record.state = TaskState.COMPLETED
-                    record.completed_from = "cache"
-                    self.trace.record(
-                        "cache_hit",
-                        task_index=self._task_index(task_id),
-                        kind=record.kind,
-                        span_id=self._sweep_span,
-                    )
-                    continue
-                attempt = record.attempts
-                span_id = self.spans.start(
-                    "point",
-                    parent_id=self._sweep_span,
-                    task_id=task_id,
-                    kind=record.kind,
-                    attempt=attempt,
-                    worker=worker_id,
-                )
-                self.journal.append(
-                    "lease_granted",
-                    task_id=task_id,
-                    lease_id=f"{worker_id}-{self.journal.seq}",
-                    ttl_s=self.config.lease_ttl_s,
-                    attempt=attempt,
-                    worker=worker_id,
-                )
-                record.state = TaskState.LEASED
-                maybe_kill("lease_grant")
-                now = time.monotonic()
-                self._remote[task_id] = _RemoteLease(
-                    task_id=task_id,
-                    worker_id=worker_id,
-                    attempt=attempt,
-                    granted_monotonic=now,
-                    last_beat_monotonic=now,
-                    span_id=span_id,
-                    task_index=self._task_index(task_id),
-                )
-                self.trace.record(
-                    "started",
-                    task_index=self._task_index(task_id),
-                    kind=record.kind,
-                    attempt=attempt,
-                    span_id=span_id,
-                    parent_id=self._sweep_span,
-                )
-                return {
-                    "task_id": task_id,
-                    "task": record.description,
-                    "attempt": attempt,
-                    "lease_ttl_s": self.config.lease_ttl_s,
-                    "heartbeat_interval_s": self.config.heartbeat_interval_s,
-                }
-            return None
+            record = next(
+                (
+                    r
+                    for r in self.state.by_state(TaskState.PENDING)
+                    if r.description is not None
+                ),
+                None,
+            )
+            if record is None:
+                return None
+            task_id = record.task_id
+            attempt = record.attempts
+            span_id = self.spans.start(
+                "point",
+                parent_id=self._sweep_span,
+                task_id=task_id,
+                kind=record.kind,
+                attempt=attempt,
+                worker=worker_id,
+            )
+            self.journal.append(
+                "lease_granted",
+                task_id=task_id,
+                lease_id=f"{worker_id}-{self.journal.seq}",
+                ttl_s=self.config.lease_ttl_s,
+                attempt=attempt,
+                worker=worker_id,
+            )
+            record.state = TaskState.LEASED
+            maybe_kill("lease_grant")
+            now = time.monotonic()
+            self._leases[task_id] = _Lease(
+                task_id=task_id,
+                worker_id=worker_id,
+                granted_monotonic=now,
+                last_beat_monotonic=now,
+                span_id=span_id,
+            )
+            self.trace.record(
+                "started",
+                task_index=self._task_index(task_id),
+                kind=record.kind,
+                attempt=attempt,
+                span_id=span_id,
+                parent_id=self._sweep_span,
+            )
+            return {
+                "task_id": task_id,
+                "task": record.description,
+                "attempt": attempt,
+                "lease_ttl_s": self.config.lease_ttl_s,
+                "heartbeat_interval_s": self.config.heartbeat_interval_s,
+            }
 
     def remote_heartbeat(self, task_id: str, worker_id: str) -> bool:
-        """Refresh a remote lease; ``False`` when the lease is gone.
+        """Refresh a lease; ``False`` when the lease is gone.
 
         ``False`` tells the worker its lease was reclaimed (it was
         silent past the TTL, or the server restarted).  The worker may
@@ -1055,7 +949,7 @@ class Orchestrator:
         but it must not rely on exclusivity.
         """
         with self.lock:
-            lease = self._remote.get(task_id)
+            lease = self._leases.get(task_id)
             if lease is None or lease.worker_id != worker_id:
                 return False
             lease.last_beat_monotonic = time.monotonic()
@@ -1070,14 +964,12 @@ class Orchestrator:
         worker_pid: Optional[int] = None,
         spans: Optional[List[Dict[str, Any]]] = None,
     ) -> str:
-        """Commit a remote result: ``committed`` / ``duplicate`` /
-        ``unknown``.
+        """Commit a result: ``committed`` / ``duplicate`` / ``unknown``.
 
-        Commit order is exactly PR 9's crash window: ``cache.put`` →
+        The one commit path, in the one order: ``cache.put`` →
         (``result_commit`` kill point) → journal ``task_completed``.  A
-        partition between the commit and the worker seeing the ack
-        converges on redelivery: the retried request finds the task
-        COMPLETED and is answered ``duplicate`` — same bits, no
+        lost ack converges on redelivery: the retried commit finds the
+        task COMPLETED and is answered ``duplicate`` — same bits, no
         recomputation.  Commits are accepted even when the lease was
         reclaimed meanwhile (task identity is the cache key; a correct
         result is a correct result regardless of who held the lease).
@@ -1104,21 +996,20 @@ class Orchestrator:
             record.state = TaskState.COMPLETED
             record.completed_from = "worker"
             record.lease = None
-            lease = self._remote.pop(task_id, None)
+            lease = self._leases.pop(task_id, None)
             if spans:
                 self.spans.adopt(spans)
             self.trace.record(
                 "finished",
                 task_index=self._task_index(task_id),
                 kind=record.kind,
-                attempt=lease.attempt if lease else record.attempts,
+                attempt=record.attempts,
                 duration_s=elapsed_s,
                 worker_pid=worker_pid,
                 span_id=lease.span_id if lease else None,
             )
             if lease and lease.span_id:
                 self.spans.end(lease.span_id, status="ok")
-            self._remove_lease_files(task_id)
             return "committed"
 
     def remote_fail(
@@ -1127,9 +1018,9 @@ class Orchestrator:
         worker_id: str,
         error: str,
         error_type: str = "RemoteWorkerError",
-        traceback_text: Optional[str] = None,
+        traceback: Optional[str] = None,
     ) -> str:
-        """Record a remote attempt failure: ``failed`` / ``ignored``.
+        """Record a failed attempt: ``failed`` / ``ignored``.
 
         Only the current lease holder's report consumes an attempt — a
         stale worker whose lease was already reclaimed (its failure may
@@ -1139,101 +1030,63 @@ class Orchestrator:
         with self.lock:
             if self.closed:
                 return "ignored"
-            lease = self._remote.get(task_id)
+            lease = self._leases.get(task_id)
             if lease is None or lease.worker_id != worker_id:
                 return "ignored"
-            del self._remote[task_id]
             self._record_failure(
-                task_id,
+                lease,
                 error=error,
                 error_type=error_type,
-                traceback_text=traceback_text,
-                worker_id=worker_id,
-                span_id=lease.span_id,
-                task_index=lease.task_index,
+                traceback_text=traceback,
             )
             return "failed"
+
+    def remote_leases(self) -> Dict[str, str]:
+        """``task_id → worker_id`` of the leases remote hosts hold."""
+        with self.lock:
+            return {
+                task_id: lease.worker_id
+                for task_id, lease in self._leases.items()
+                if lease.worker_id not in self._workers
+            }
 
     # -- drain / shutdown --------------------------------------------------
 
     def _drain(self) -> None:
-        """Stop dispatching; settle or release what's in flight.
+        """Stop granting leases; let in-flight work commit.
 
-        Remote leases get the same courtesy as local workers: the drain
-        window lets in-flight hosts commit their results (the HTTP
-        result route stays open while ``draining`` — only *new*
-        submissions and claims are refused with 503); leases still held
-        at the deadline are released without consuming an attempt.
+        Local and remote workers alike get the drain window to commit
+        (the result and fail routes stay open and the pipes stay
+        answered while ``draining`` — only *new* submissions and claims
+        are refused).  Whatever is still leased at the deadline is
+        released by the shutdown path without consuming an attempt.
         """
         with self.lock:
             self.draining = True
             self.journal.append(
                 "drain_start",
                 pid=os.getpid(),
-                inflight=len(self._inflight),
-                remote=len(self._remote),
+                leases=len(self._leases),
             )
         deadline = time.monotonic() + self.config.drain_timeout_s
         while time.monotonic() < deadline:
             with self.lock:
-                self._collect_finished()
-                if not self._inflight and not self._remote:
+                self._watchdog()
+                if not self._leases:
                     break
-            time.sleep(self.config.poll_interval_s)
-        with self.lock:
-            self._release_inflight(terminate=True)
-            self._release_remote()
+            self._answer_workers(self.config.poll_interval_s)
 
-    def _release_remote(self) -> None:
-        for task_id in list(self._remote):
-            lease = self._remote.pop(task_id)
+    def _release_leases(self, reason: str) -> None:
+        for lease in list(self._leases.values()):
             self.journal.append(
                 "lease_released",
-                task_id=task_id,
-                reason="drain",
+                task_id=lease.task_id,
+                reason=reason,
                 worker=lease.worker_id,
             )
-            record = self.state.tasks.get(task_id)
-            if record is not None and record.state == TaskState.LEASED:
-                record.state = TaskState.PENDING
-                record.lease = None
-            if lease.span_id:
-                self.spans.end(lease.span_id, status="aborted")
-
-    def _release_inflight(self, terminate: bool) -> None:
-        for task_id in list(self._inflight):
-            entry = self._inflight.pop(task_id)
-            if entry.proc is not None and entry.proc.is_alive():
-                if terminate:
-                    entry.proc.terminate()
-                    entry.proc.join(timeout=2.0)
-                    if entry.proc.is_alive():
-                        entry.proc.kill()
-                        entry.proc.join(timeout=2.0)
-            self.journal.append(
-                "lease_released",
-                task_id=task_id,
-                reason="drain" if terminate else "shutdown",
-            )
-            record = self.state.tasks.get(task_id)
-            if record is not None and record.state == TaskState.LEASED:
-                record.state = TaskState.PENDING
-                record.lease = None
-            self._remove_lease_files(task_id)
-            if entry.span_id:
-                self.spans.end(entry.span_id, status="aborted")
+            self._requeue(lease)
 
     # -- helpers -----------------------------------------------------------
-
-    def _remove_lease_files(self, task_id: str) -> None:
-        for path in (
-            heartbeat_path(self.paths.leases, task_id),
-            outcome_path(self.paths.outcomes, task_id),
-        ):
-            try:
-                path.unlink()
-            except OSError:
-                pass
 
     def _flush_telemetry(self) -> None:
         telemetry = self.paths.telemetry

@@ -18,8 +18,10 @@ Two consumers, two modes:
     :class:`ShutdownRequested` subclasses ``BaseException`` (like
     ``KeyboardInterrupt``) precisely so the runner's ``except
     Exception`` retry machinery cannot mistake an operator's ^C for a
-    failing task and burn retry attempts on it.  The CLI converts it to
-    the conventional ``128 + signum`` exit status.
+    failing task and burn retry attempts on it.  A frame whose
+    exceptions Python only prints (a finalizer, a fork hook) swallows
+    the raise; the context then raises again when its body ends.  The
+    CLI converts it to the conventional ``128 + signum`` exit status.
 
 Handlers are only installable from the main thread (a CPython
 constraint); :func:`handle_signals` degrades to a no-op elsewhere so
@@ -111,6 +113,11 @@ def handle_signals(
             except (OSError, ValueError):
                 continue
         yield flag
+        if mode == "raise" and flag.is_set():
+            # The handler's raise landed where Python ignores exceptions
+            # (a fork hook, a finalizer) and the body ran on: the stop
+            # request still decides how it ends.
+            raise ShutdownRequested(flag.signum)
     finally:
         for signum, handler in previous.items():
             try:

@@ -63,7 +63,8 @@ class TaskRecord:
     #: :class:`~repro.runner.tasks.Task` from the journal alone.
     description: Optional[Dict[str, Any]] = None
     submit_id: Optional[str] = None
-    #: Failed attempts so far (a reclaim/release does not count).
+    #: Failed attempts since the task was (re)enqueued (a
+    #: reclaim/release does not count).
     attempts: int = 0
     #: Active lease fields (``lease_id``/``worker_pid``/``epoch_s``/
     #: ``ttl_s``), present only in the LEASED state.
@@ -170,6 +171,8 @@ def fold_records(records: List[Dict[str, Any]]) -> ServiceState:
             task.state = TaskState.PENDING
             task.description = record.get("task", task.description)
             task.submit_id = record.get("submit_id", task.submit_id)
+            # A resubmitted quarantined task gets a fresh attempt budget.
+            task.attempts = 0
         elif event == "lease_granted":
             task.state = TaskState.LEASED
             task.lease = {

@@ -22,17 +22,33 @@ by its pid file + a liveness probe, never contacted.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..telemetry.console import SweepStatus
 from .journal import journal_tail_state
-from .leases import pid_alive
 from .orchestrator import ServicePaths
 from .quarantine import read_quarantine_records
 from .state import TaskState, fold_journal
 
-__all__ = ["service_status", "render_service_status"]
+__all__ = ["pid_alive", "render_service_status", "service_status"]
+
+
+def pid_alive(pid: Optional[int]) -> bool:
+    """True when ``pid`` names an existing process we may signal."""
+    if not pid or pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        # Exists but owned by someone else — still alive.
+        return True
+    except OSError:
+        return False
+    return True
 
 
 def _read_jsonl_tolerant(path: Path) -> List[Dict[str, Any]]:

@@ -1,58 +1,21 @@
-"""Service worker processes: crash-isolated task execution.
+"""Rebuilding a journaled task for execution.
 
-The orchestrator runs every leased task in its own
-``multiprocessing.Process`` whose target is :func:`worker_main`.  One
-process per task buys crash isolation (a segfaulting or OOM-killed
-point takes down one lease, not the pool) and makes the watchdog's job
-honest: killing a stuck worker is ``SIGKILL`` on one pid with no shared
-state to corrupt.
-
-A worker's entire observable output is one file: the *outcome
-envelope* at ``outcomes/<task_id>.json``, written atomically
-(temp + fsync + rename) as the very last act before exit::
-
-    {"ok": true,  "envelope": {... run_task envelope ...}}
-    {"ok": false, "error": "...", "error_type": "KeyError",
-     "traceback": "..."}
-
-Atomic write means the orchestrator (or its restarted successor —
-workers can outlive the orchestrator that spawned them) either sees a
-complete, parseable outcome or no outcome at all; there is no torn
-state to reason about.  Execution itself is
-:func:`repro.runner.tasks.run_task` — the same entry the pool runner
-uses — so checkpoint resume, telemetry spans, and the
-``REPRO_FAULT_INJECT`` hook all work in service workers unchanged.
+Workers receive a task as its JSON-able ``describe()`` dict — from the
+journal, a claim over the HTTP wire, or a local worker's pipe — and
+rebuild the :class:`~repro.runner.tasks.Task` here, with its exact
+:class:`~repro.runner.seeding.SeedSpec`, before running it through
+:func:`repro.runner.tasks.run_task` like every other execution path.
+The worker loop itself is :func:`repro.service.net.worker.work_loop`.
 """
 
 from __future__ import annotations
 
-import json
-import traceback
-from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
-from ..checkpoint.integrity import atomic_write_text
 from ..runner.seeding import SeedSpec
 from ..runner.tasks import Task
-from .leases import HeartbeatWriter
 
-__all__ = [
-    "OUTCOMES_DIRNAME",
-    "outcome_path",
-    "read_outcome",
-    "task_from_description",
-    "worker_main",
-    "write_outcome",
-]
-
-#: Outcome-envelope directory inside a service directory.
-OUTCOMES_DIRNAME = "outcomes"
-
-
-def outcome_path(
-    outcomes_dir: Union[str, Path], task_id: str
-) -> Path:
-    return Path(outcomes_dir) / f"{task_id}.json"
+__all__ = ["task_from_description"]
 
 
 def task_from_description(
@@ -72,62 +35,3 @@ def task_from_description(
         seed=SeedSpec.from_jsonable(seed) if seed else None,
         runtime=runtime,
     )
-
-
-def write_outcome(path: Union[str, Path], outcome: Dict[str, Any]) -> None:
-    """Atomically publish a worker's outcome envelope."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(str(path), json.dumps(outcome))
-
-
-def read_outcome(
-    path: Union[str, Path],
-) -> Optional[Dict[str, Any]]:
-    """The outcome at ``path``, or ``None`` if absent/unparseable."""
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError:
-        return None
-    try:
-        outcome = json.loads(raw)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(outcome, dict) or "ok" not in outcome:
-        return None
-    return outcome
-
-
-def worker_main(
-    task: Task,
-    hb_path: str,
-    out_path: str,
-    heartbeat_interval_s: float = 1.0,
-) -> None:
-    """Process target: heartbeat, execute, publish outcome, exit.
-
-    Never raises — every failure mode (including task kinds that throw
-    on malformed payloads) becomes an ``ok: false`` outcome the
-    orchestrator turns into a ``task_failed`` journal record.  Failure
-    modes that *can't* run this code (segfault, OOM, ``SIGKILL``)
-    leave no outcome file, which is exactly the signal the watchdog's
-    dead/stale verdicts translate into a reclaim.
-    """
-    from ..runner.tasks import run_task
-
-    beat = HeartbeatWriter(hb_path, interval_s=heartbeat_interval_s)
-    beat.start()
-    try:
-        try:
-            envelope = run_task(task)
-            outcome: Dict[str, Any] = {"ok": True, "envelope": envelope}
-        except BaseException as exc:
-            outcome = {
-                "ok": False,
-                "error": str(exc),
-                "error_type": type(exc).__name__,
-                "traceback": traceback.format_exc(),
-            }
-        write_outcome(out_path, outcome)
-    finally:
-        beat.stop()

@@ -1233,8 +1233,8 @@ def _cmd_drain(args: argparse.Namespace) -> int:
     import time
     from pathlib import Path
 
-    from ..service.leases import pid_alive
     from ..service.orchestrator import ServicePaths, request_drain
+    from ..service.status import pid_alive
 
     paths = ServicePaths(Path(args.service_dir))
     request_drain(paths.root)

@@ -192,6 +192,40 @@ class TestQuarantine:
         parked = state.tasks[cache_key(poison.describe())]
         assert parked.state == TaskState.QUARANTINED
 
+    @pytest.mark.parametrize("restart_before_retry", [False, True])
+    def test_resubmitted_task_gets_fresh_attempt_budget(
+        self, tmp_path, restart_before_retry
+    ):
+        poison = _poison_task()
+        key = cache_key(poison.describe())
+        _submit(tmp_path / "svc", [poison])
+        _serve(tmp_path / "svc")  # max_retries=2: attempts 1, 2, 3
+        if restart_before_retry:
+            # Resubmission journaled, then the orchestrator stops
+            # before any retry: the replay must reset the budget too.
+            orchestrator = Orchestrator(
+                ServiceConfig(service_dir=tmp_path / "svc")
+            )
+            orchestrator.admit_submission(build_submission([poison]))
+            orchestrator.journal.close()
+        else:
+            _submit(tmp_path / "svc", [poison])
+        _, state = _serve(tmp_path / "svc")
+        from repro.service.journal import read_journal
+
+        records, _ = read_journal(ServicePaths(tmp_path / "svc").journal)
+        attempts = [
+            r["attempt"] for r in records if r["event"] == "task_failed"
+        ]
+        assert attempts == [1, 2, 3, 1, 2, 3]
+        assert state.tasks[key].state == TaskState.QUARANTINED
+        assert state.tasks[key].attempts == 3
+        assert fold_journal(tmp_path / "svc").tasks[key].attempts == 3
+        (record,) = read_quarantine_records(
+            ServicePaths(tmp_path / "svc").quarantine
+        )
+        assert record["attempts"] == 3
+
 
 class TestAdmissionControl:
     def test_over_depth_submission_rejected(self, tmp_path):

@@ -40,7 +40,6 @@ MODULES = [
     "repro.service",
     "repro.service.faults",
     "repro.service.journal",
-    "repro.service.leases",
     "repro.service.orchestrator",
     "repro.service.quarantine",
     "repro.service.signals",
