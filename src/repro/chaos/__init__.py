@@ -19,8 +19,8 @@ Three parts (see ``docs/robustness.md`` for the full taxonomy):
   MAC re-converges once faults clear.
 
 This layer is *in-simulation*: it breaks the emulated network.  The
-*process-level* counterpart (worker crashes, hangs) is
-:mod:`repro.runner.faults`; the two compose freely.
+*process-level* counterpart (worker crashes, hangs) is the fault
+points of :mod:`repro.faults`; the two compose freely.
 """
 
 from .experiment import attach_chaos, chaos_collision_test

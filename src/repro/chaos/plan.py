@@ -18,7 +18,7 @@ never perturbs the draws of another, and none of them perturb the
 backoff/traffic draws of the simulation under test.
 
 This is the *in-simulation* counterpart of the process-level
-:mod:`repro.runner.faults` (which kills/hangs worker processes); see
+:mod:`repro.faults` (which kills/hangs worker processes); see
 ``docs/robustness.md`` for how the two layers compose.
 """
 

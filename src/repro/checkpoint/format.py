@@ -21,11 +21,10 @@ A :class:`CheckpointStore` is a directory of ``ckpt-<seq>.ckpt`` files.
 verifies, skipping corrupted or truncated files — so resumption always
 lands on the newest checkpoint that survived the crash intact.
 
-Fault hook: if ``REPRO_CHECKPOINT_KILL`` is set to an integer N, the
-process is killed (``os._exit``) immediately after it durably writes
-checkpoint N.  The retried task then resumes from N and next writes
-N + 1, so the kill fires exactly once without any cross-process claim
-bookkeeping — the deterministic crash the kill-mid-run tests and the CI
+Fault point: ``checkpoint_write:seq=N`` (:mod:`repro.faults`) kills the
+process (``os._exit``) immediately after it durably writes checkpoint
+N, once per store directory.  The retried task resumes from N — the
+deterministic crash the kill-mid-run tests and the CI
 ``checkpoint-smoke`` job rely on.
 """
 
@@ -38,13 +37,12 @@ import pickle
 import re
 from typing import Any, Dict, List, Optional
 
+from .. import faults
 from .integrity import atomic_write_bytes, sha256_hex
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
     "MAGIC",
-    "KILL_ENV",
-    "KILL_EXIT_CODE",
     "JOURNAL_FILENAME",
     "Checkpoint",
     "CheckpointError",
@@ -57,12 +55,6 @@ __all__ = [
 
 CHECKPOINT_FORMAT_VERSION = 1
 MAGIC = b"REPRO-CKPT\n"
-
-#: Environment variable holding the checkpoint seq after which the
-#: writing process kills itself (crash-injection for resumption tests).
-KILL_ENV = "REPRO_CHECKPOINT_KILL"
-#: Exit code of the injected post-checkpoint kill.
-KILL_EXIT_CODE = 96
 
 _FILE_RE = re.compile(r"^ckpt-(\d{8})\.ckpt$")
 
@@ -226,9 +218,9 @@ class CheckpointStore:
     def write(self, checkpoint: Checkpoint) -> str:
         """Durably write ``checkpoint``; returns its path.
 
-        Honors the ``REPRO_CHECKPOINT_KILL`` crash-injection hook
-        *after* the rename, so the injected crash always leaves a valid
-        newest checkpoint behind.
+        Fires the ``checkpoint_write`` fault point *after* the rename,
+        so the injected crash always leaves a valid newest checkpoint
+        behind.
         """
         path = self.path_for(checkpoint.seq)
         write_file(path, checkpoint)
@@ -239,14 +231,7 @@ class CheckpointStore:
             seq=checkpoint.seq,
             sim_time_us=checkpoint.sim_time_us,
         )
-        kill_after = os.environ.get(KILL_ENV)
-        if kill_after is not None:
-            try:
-                kill_seq = int(kill_after)
-            except ValueError:
-                kill_seq = None
-            if kill_seq is not None and kill_seq == checkpoint.seq:
-                os._exit(KILL_EXIT_CODE)
+        faults.fire("checkpoint_write", token=self.directory, seq=checkpoint.seq)
         return path
 
     def latest_valid(self) -> Optional[Checkpoint]:

@@ -96,13 +96,22 @@ def append_jsonl(path: Union[str, Path], records: Iterable[Any]) -> int:
 
 
 def read_jsonl(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Load a JSONL event file back into a list of dicts."""
+    """Load a JSONL event file back into a list of dicts.
+
+    Every line that is not a JSON object is skipped: ``kill -9`` mid-
+    append leaves a torn line, and a restarted run appends after it,
+    so the fragment can sit anywhere in the file.  A missing file
+    raises.
+    """
     rows: List[Dict[str, Any]] = []
     with Path(path).open("r", encoding="utf-8") as handle:
         for line in handle:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if isinstance(row, dict):
+                rows.append(row)
     return rows
 
 

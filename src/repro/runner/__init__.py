@@ -24,8 +24,8 @@ wall-clock timeouts, automatic worker-pool rebuilds after a crashed
 worker with graceful degradation to serial execution, and an optional
 partial-results mode that returns what completed plus a structured
 :class:`TaskFailure` per lost point (:mod:`repro.runner.telemetry`).
-Fault paths are exercised deterministically through the
-``REPRO_FAULT_INJECT`` hook (:mod:`repro.runner.faults`).
+Fault paths are exercised deterministically through the ``task_*``
+fault points of :mod:`repro.faults`.
 
 Progress, cache and fault behaviour are observable through
 :class:`repro.core.metrics.RunnerCounters` (``runner.counters``) and
@@ -33,10 +33,10 @@ the per-task lifecycle trace (``runner.trace``, exportable as JSONL
 via ``trace_path``).
 """
 
+from ..faults import InjectedFault
 from .backoff import FullJitterBackoff
 from .batch import BatchRunner
 from .cache import CacheEntryError, ResultCache, cache_key
-from .faults import FaultPlan, InjectedFault
 from .runner import (
     ExperimentRunner,
     RunnerConfig,
@@ -66,7 +66,6 @@ __all__ = [
     "TaskEvent",
     "TaskFailure",
     "TraceRecorder",
-    "FaultPlan",
     "InjectedFault",
     "canonical_json",
     "scenario_to_jsonable",

@@ -73,7 +73,13 @@ from .serialize import scenario_to_jsonable
 from ..telemetry.context import TelemetryContext, activate
 from ..telemetry.openmetrics import write_openmetrics
 from ..telemetry.spans import SpanRecorder
-from .tasks import Task, TaskKind, checkpoint_status, run_task
+from .tasks import (
+    Task,
+    TaskKind,
+    checkpoint_status,
+    exit_when_orphaned,
+    run_task,
+)
 from .telemetry import TaskFailure, TraceRecorder
 
 __all__ = [
@@ -327,47 +333,14 @@ class ExperimentRunner:
         max_workers: Optional[int] = 1,
         cache_dir: Optional[Union[str, Path]] = None,
         progress: Optional[Callable[[int, int], None]] = None,
-        *,
-        retries: int = 0,
-        task_timeout_s: Optional[float] = None,
-        on_failure: str = "raise",
-        trace_path: Optional[Union[str, Path]] = None,
-        backoff_base_s: float = 0.05,
-        backoff_max_s: float = 2.0,
-        backoff_jitter: bool = True,
-        backoff_seed: Optional[int] = None,
-        max_pool_rebuilds: int = 2,
-        checkpoint_dir: Optional[Union[str, Path]] = None,
-        checkpoint_every_us: Optional[float] = None,
-        resume: bool = True,
-        span_path: Optional[Union[str, Path]] = None,
-        metrics_path: Optional[Union[str, Path]] = None,
-        telemetry_dir: Optional[Union[str, Path]] = None,
-        config: Optional[RunnerConfig] = None,
+        **options: Any,
     ) -> None:
-        self.config = (
-            config
-            if config is not None
-            else RunnerConfig(
-                max_workers=max_workers,
-                cache_dir=cache_dir,
-                progress=progress,
-                retries=retries,
-                task_timeout_s=task_timeout_s,
-                on_failure=on_failure,
-                trace_path=trace_path,
-                backoff_base_s=backoff_base_s,
-                backoff_max_s=backoff_max_s,
-                backoff_jitter=backoff_jitter,
-                backoff_seed=backoff_seed,
-                max_pool_rebuilds=max_pool_rebuilds,
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_every_us=checkpoint_every_us,
-                resume=resume,
-                span_path=span_path,
-                metrics_path=metrics_path,
-                telemetry_dir=telemetry_dir,
-            )
+        """``options`` are the other :class:`RunnerConfig` fields."""
+        self.config = RunnerConfig(
+            max_workers=max_workers,
+            cache_dir=cache_dir,
+            progress=progress,
+            **options,
         )
         self.cache = (
             ResultCache(self.config.cache_dir)
@@ -635,9 +608,7 @@ class ExperimentRunner:
         limit = workers if timeout is not None else workers * 2
         queue: List[_Pending] = list(pending)
         inflight: Dict[Future, Tuple[_Pending, float]] = {}
-        pool: Optional[ProcessPoolExecutor] = ProcessPoolExecutor(
-            max_workers=workers
-        )
+        pool: Optional[ProcessPoolExecutor] = _new_pool(workers)
         rebuilds = 0
         try:
             while queue or inflight:
@@ -819,7 +790,7 @@ class ExperimentRunner:
         rebuilds += 1
         self.counters.pool_rebuilds += 1
         self.trace.record("pool_rebuild", detail=f"rebuild #{rebuilds}")
-        return ProcessPoolExecutor(max_workers=workers), rebuilds
+        return _new_pool(workers), rebuilds
 
     def _degrade_serial(
         self,
@@ -1036,6 +1007,19 @@ class ExperimentRunner:
         raw = self.run(tasks)
         require_complete(raw, self.failures)
         return [rehydrate_simulation(scenario, entry) for entry in raw]
+
+
+#: How often a pool worker checks that its runner is still alive.
+_ORPHAN_CHECK_S = 0.5
+
+
+def _new_pool(workers: int) -> ProcessPoolExecutor:
+    """A worker pool whose workers exit once this process is gone."""
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=exit_when_orphaned,
+        initargs=(os.getpid(), _ORPHAN_CHECK_S),
+    )
 
 
 def _pool_died_error() -> RuntimeError:

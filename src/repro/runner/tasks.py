@@ -54,9 +54,11 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import threading
 import time
 from typing import Any, Dict, Optional
 
+from .. import faults
 from .seeding import SeedSpec, streams_for
 from .serialize import (
     csma_from_jsonable,
@@ -455,13 +457,46 @@ def checkpoint_status(task: Task) -> Optional[Dict[str, Any]]:
     return info
 
 
+def exit_when_orphaned(parent_pid: int, interval_s: float) -> None:
+    """Start a daemon thread that ends this worker process within
+    ``interval_s`` of ``parent_pid`` ceasing to be its parent.
+
+    Neither a pool worker nor a service worker may outlive the process
+    that started it: it would keep computing for nobody and hold that
+    process's stdout open.
+    """
+
+    def watch() -> None:
+        while True:
+            time.sleep(interval_s)
+            if os.getppid() != parent_pid:
+                os._exit(1)
+
+    threading.Thread(target=watch, name="orphan-check", daemon=True).start()
+
+
+def _inject_faults(task: Task) -> None:
+    """Fire the ``task_*`` fault points, one-shot per task cache key:
+    the retry of a faulted task runs clean."""
+    if not os.environ.get(faults.ENV_FAULT):
+        return
+    from .cache import cache_key
+
+    token = cache_key(task.describe())
+    point, options = faults.fire(*faults.TASK_POINTS, token=token)
+    if point == "task_raise":
+        raise faults.InjectedFault(f"injected fault for task {token[:12]}")
+    if point == "task_hang":
+        time.sleep(options["seconds"])
+
+
 def run_task(task: Task) -> Dict[str, Any]:
-    """Worker-process entry point: fault hook, timing, pid annotation.
+    """Worker-process entry point: fault points, timing, pid annotation.
 
     Wraps :func:`execute_task` in an envelope carrying the executing
     worker's pid and wall-clock duration for the telemetry layer, and
-    applies the :mod:`repro.runner.faults` injection hook (a no-op
-    unless ``REPRO_FAULT_INJECT`` is configured).  For checkpointed
+    first fires the ``task_*`` points of :mod:`repro.faults` (a no-op
+    unless ``REPRO_FAULT`` arms one).  For checkpointed
     tasks the envelope also carries the pre-execution
     :func:`checkpoint_status`, so the runner can trace whether this
     attempt started fresh or resumed mid-simulation.  The runner caches
@@ -476,11 +511,9 @@ def run_task(task: Task) -> Dict[str, Any]:
     return to the runner via ``envelope["spans"]``.  Without it, this
     function touches no telemetry code at all.
     """
-    from .faults import inject_for_task
-
     telemetry = (task.runtime or {}).get("telemetry")
     if telemetry is None:
-        inject_for_task(task)
+        _inject_faults(task)
         checkpoints = checkpoint_status(task)
         started = time.perf_counter()
         result = execute_task(task)
@@ -511,7 +544,7 @@ def run_task(task: Task) -> Dict[str, Any]:
         )
         context.span_id = attempt_id
         try:
-            inject_for_task(task)
+            _inject_faults(task)
             checkpoints = checkpoint_status(task)
             started = time.perf_counter()
             result = execute_task(task)

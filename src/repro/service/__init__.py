@@ -12,7 +12,7 @@ hosts run one worker loop against one lease table
 forensics quarantine instead of wedging the sweep
 (:mod:`~repro.service.quarantine`), and SIGTERM drains cleanly
 (:mod:`~repro.service.signals`).  ``kill -9`` at any instant — proven
-at the armed kill points of :mod:`~repro.service.faults` — followed by
+at the orchestrator's fault points in :mod:`repro.faults` — followed by
 a restart yields results bit-identical to an uninterrupted run.
 
 Entry points: :class:`Orchestrator` / :class:`ServiceConfig` (the

@@ -35,9 +35,9 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from .. import faults
 from ..checkpoint.integrity import sha256_hex
 from ..runner.serialize import canonical_json
-from .faults import maybe_kill
 
 __all__ = [
     "JOURNAL_FILENAME",
@@ -108,8 +108,8 @@ class JournalWriter:
     def append(self, event: str, **fields: Any) -> Dict[str, Any]:
         """Durably append one ``event`` record; returns the sealed record.
 
-        The ``journal_append`` kill point (see
-        :mod:`repro.service.faults`) fires *after* the record is
+        The ``journal_append`` fault point (see :mod:`repro.faults`)
+        fires *after* the record is
         durable — the crash-recovery suite proves a record the journal
         acknowledged is never lost.
         """
@@ -132,7 +132,7 @@ class JournalWriter:
                 f"cannot append to journal {self.path}: {exc}"
             ) from exc
         self.seq += 1
-        maybe_kill("journal_append")
+        faults.fire("journal_append")
         return sealed
 
     def close(self) -> None:

@@ -25,9 +25,9 @@ the wire:
   fail calls), the orchestrator's local workers over a pipe; results
   commit cache.put-then-journal, so a partition between commit and ack
   converges on redelivery;
-- :mod:`~repro.service.net.wire` — the JSON wire helpers plus the
-  deterministic network fault injection
-  (``REPRO_NET_FAULT=drop|delay|duplicate|partition[:times=N]``) at
+- :mod:`~repro.service.net.wire` — the JSON wire helpers; the
+  ``net_drop``, ``net_delay``, ``net_duplicate`` and ``net_partition``
+  fault points of :mod:`repro.faults` fire there and in the server, at
   the HTTP boundary on both sides.
 
 Every mutation a handler thread performs goes through the

@@ -32,11 +32,12 @@ sha256 ``submit_id`` and per-task cache keys as the ``submit`` CLI, so
 a client retrying a dropped response — or two clients posting the same
 study — dedupes against the cache and journal for free.
 
-Server-side network faults (``REPRO_NET_FAULT``) are injected here, at
-the request boundary: ``partition`` closes the connection unread,
-``drop`` processes the request then withholds the response (the
+The ``net_*`` fault points (:mod:`repro.faults`) fire here too, at the
+request boundary: ``net_partition`` closes the connection unread,
+``net_drop`` processes the request then withholds the response (the
 lost-ack case the idempotent routes must converge through),
-``duplicate`` processes the body twice, ``delay`` stalls the exchange.
+``net_duplicate`` processes the body twice, ``net_delay`` stalls the
+exchange.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
+from ... import faults
 from ...obs.registry import MetricsRegistry
 from ...telemetry.openmetrics import render_openmetrics
-from ..faults import maybe_net_fault
 from ..orchestrator import Orchestrator
 from ..state import TaskState
 from ..submit import submission_id, validate_submission
@@ -123,18 +124,17 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         service = self.service
         start = time.perf_counter()
-        fault = maybe_net_fault("server")
-        mode = fault[0] if fault else None
-        if mode == "partition":
-            service._log_access(method, self.path, 0, 0.0, fault="partition")
+        point, options = faults.fire(*faults.NET_POINTS, role="server")
+        if point == "net_partition":
+            service._log_access(method, self.path, 0, 0.0, fault=point)
             self._sever()
             return
-        if mode == "delay":
-            time.sleep(fault[1])
+        if point == "net_delay":
+            time.sleep(options["delay_s"])
         body = self._read_body()
         try:
             status, payload, headers = service.route(method, self.path, body, self.headers)
-            if mode == "duplicate":
+            if point == "net_duplicate":
                 status, payload, headers = service.route(
                     method, self.path, body, self.headers
                 )
@@ -142,13 +142,10 @@ class _Handler(BaseHTTPRequestHandler):
             status, payload, headers = 500, {"error": repr(exc)}, {}
         duration = time.perf_counter() - start
         service._observe(method, self.path, status, duration)
-        if mode == "drop":
-            service._log_access(
-                method, self.path, status, duration, fault="drop"
-            )
+        service._log_access(method, self.path, status, duration, fault=point)
+        if point == "net_drop":
             self._sever()
             return
-        service._log_access(method, self.path, status, duration, fault=mode)
         try:
             self._respond(status, payload, headers)
         except (BrokenPipeError, ConnectionResetError):

@@ -5,22 +5,22 @@ JSON object (``Content-Type: application/json``), errors carry
 ``{"error": ...}``, and backpressure rides the standard headers (429 /
 503 + ``Retry-After``).  :func:`http_json` is the single choke point
 every client-side component (sweep client, remote worker) sends
-through, which is exactly where the deterministic network fault plan
-(:func:`repro.service.faults.maybe_net_fault`) hooks in:
+through, which is exactly where the ``net_*`` fault points of
+:mod:`repro.faults` fire:
 
-- ``partition`` — raise before the request is sent: the other side
+- ``net_partition`` — raise before the request is sent: the other side
   never sees it;
-- ``drop`` — send and let the server process, then raise before the
-  caller sees the response: the lost-ack case.  The retried request
+- ``net_drop`` — send and let the server process, then raise before
+  the caller sees the response: the lost-ack case.  The retried request
   must converge through idempotency (same submit hash, duplicate
   result commit), which is what the fault suite proves;
-- ``duplicate`` — send the identical request twice, return the second
-  response;
-- ``delay`` — stall the exchange, then proceed normally.
+- ``net_duplicate`` — send the identical request twice, return the
+  second response;
+- ``net_delay`` — stall the exchange, then proceed normally.
 
-The server side injects its mirror-image faults in the request handler
-(:mod:`repro.service.net.server`), so both directions of the wire are
-covered by the same ``REPRO_NET_FAULT`` plan.
+The server side fires the same points in the request handler
+(:mod:`repro.service.net.server`), so one ``REPRO_FAULT`` spec covers
+both directions of the wire.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import urllib.error
 import urllib.request
 from typing import Any, Dict, Optional, Tuple
 
-from ..faults import maybe_net_fault
+from ... import faults
 
 __all__ = [
     "NetRequestError",
@@ -99,14 +99,13 @@ def http_json(
     2xx/304/4xx responses return normally; a 304 (ETag hit) returns an
     empty body.
     """
-    fault = maybe_net_fault(role)
-    mode = fault[0] if fault else None
-    if mode == "partition":
+    point, options = faults.fire(*faults.NET_POINTS, role=role)
+    if point == "net_partition":
         raise NetRequestError(
             f"injected partition: {method} {url} never sent"
         )
-    if mode == "delay":
-        time.sleep(fault[1])
+    if point == "net_delay":
+        time.sleep(options["delay_s"])
 
     def _exchange() -> Tuple[int, Dict[str, Any], Dict[str, str]]:
         data = (
@@ -150,9 +149,9 @@ def http_json(
         return status, parsed if isinstance(parsed, dict) else {}, headers
 
     result = _exchange()
-    if mode == "duplicate":
+    if point == "net_duplicate":
         result = _exchange()
-    if mode == "drop":
+    if point == "net_drop":
         # The server processed the request; the response is lost here.
         raise NetRequestError(
             f"injected drop: {method} {url} response lost"

@@ -46,7 +46,7 @@ import time
 import traceback
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
-from ...runner.tasks import run_task
+from ...runner.tasks import exit_when_orphaned, run_task
 from ..orchestrator import LOCAL_STOP
 from ..worker import task_from_description
 from .client import AllHostsUnreachable, SweepClient
@@ -235,13 +235,6 @@ class PipeClient:
         return self._call("fail", task_id, **fields)
 
 
-def _exit_when_orphaned(parent_pid: int, interval_s: float) -> None:
-    while True:
-        time.sleep(interval_s / 2)
-        if os.getppid() != parent_pid:
-            os._exit(1)
-
-
 def run_local_worker(
     conn: Any,
     worker_id: str,
@@ -263,12 +256,7 @@ def run_local_worker(
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    threading.Thread(
-        target=_exit_when_orphaned,
-        args=(parent_pid, heartbeat_interval_s),
-        name="orphan-check",
-        daemon=True,
-    ).start()
+    exit_when_orphaned(parent_pid, heartbeat_interval_s / 2)
     work_loop(
         (),
         worker_id=worker_id,

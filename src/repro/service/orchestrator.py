@@ -59,11 +59,11 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from .. import faults
 from ..runner.cache import ResultCache, cache_key, result_checksum
 from ..runner.telemetry import TraceRecorder
 from ..telemetry.openmetrics import write_openmetrics
 from ..telemetry.spans import SpanRecorder
-from .faults import maybe_kill
 from .journal import JOURNAL_FILENAME, JournalWriter, read_journal
 from .quarantine import QUARANTINE_DIRNAME, write_quarantine_record
 from .signals import handle_signals
@@ -915,7 +915,7 @@ class Orchestrator:
                 worker=worker_id,
             )
             record.state = TaskState.LEASED
-            maybe_kill("lease_grant")
+            faults.fire("lease_grant")
             now = time.monotonic()
             self._leases[task_id] = _Lease(
                 task_id=task_id,
@@ -967,7 +967,7 @@ class Orchestrator:
         """Commit a result: ``committed`` / ``duplicate`` / ``unknown``.
 
         The one commit path, in the one order: ``cache.put`` →
-        (``result_commit`` kill point) → journal ``task_completed``.  A
+        (``result_commit`` fault point) → journal ``task_completed``.  A
         lost ack converges on redelivery: the retried commit finds the
         task COMPLETED and is answered ``duplicate`` — same bits, no
         recomputation.  Commits are accepted even when the lease was
@@ -983,7 +983,7 @@ class Orchestrator:
             if record.state == TaskState.COMPLETED:
                 return "duplicate"
             self.cache.put(task_id, result, record.description or {})
-            maybe_kill("result_commit")
+            faults.fire("result_commit")
             self.journal.append(
                 "task_completed",
                 task_id=task_id,

@@ -21,11 +21,11 @@ by its pid file + a liveness probe, never contacted.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from ..obs.recording import read_jsonl
 from ..telemetry.console import SweepStatus
 from .journal import journal_tail_state
 from .orchestrator import ServicePaths
@@ -51,31 +51,6 @@ def pid_alive(pid: Optional[int]) -> bool:
     return True
 
 
-def _read_jsonl_tolerant(path: Path) -> List[Dict[str, Any]]:
-    """Per-line JSONL read that *skips* torn/corrupt lines.
-
-    A status probe races live writers by design (``kill -9`` mid-write
-    leaves a torn trailing line in trace/span files); the read-only
-    view must report around that, never crash on it.
-    """
-    rows: List[Dict[str, Any]] = []
-    try:
-        with path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if isinstance(row, dict):
-                    rows.append(row)
-    except OSError:
-        pass
-    return rows
-
-
 def service_status(
     service_dir: Union[str, Path],
 ) -> Dict[str, Any]:
@@ -93,8 +68,10 @@ def service_status(
 
     sweep = SweepStatus()
     for name in ("trace.jsonl", "spans.jsonl"):
-        for record in _read_jsonl_tolerant(paths.telemetry / name):
-            sweep.update(record)
+        path = paths.telemetry / name
+        if path.exists():
+            for record in read_jsonl(path):
+                sweep.update(record)
 
     quarantined = [
         {

@@ -7,10 +7,10 @@ and the retried attempt resumes from the newest valid checkpoint
 instead of recomputing from t=0 — with results bit-identical to a
 sweep that was never interrupted, for plain and chaos points alike.
 
-The kill is injected via ``REPRO_CHECKPOINT_KILL=<seq>``: the worker
+The kill is the ``checkpoint_write:seq=<seq>`` fault point: the worker
 durably writes checkpoint ``<seq>`` and then dies, so the crash always
 leaves a valid newest snapshot behind and fires exactly once per store
-(the resumed attempt starts at ``<seq>+1``).
+(the store directory is the point's one-shot token).
 """
 
 import glob
@@ -18,7 +18,6 @@ import os
 
 import pytest
 
-from repro.checkpoint.format import KILL_ENV
 from repro.core.config import ScenarioConfig
 from repro.runner.runner import ExperimentRunner
 from repro.runner.seeding import SeedSpec
@@ -82,7 +81,10 @@ def _reference(tasks):
 
 def _run_killed_sweep(tasks, tmp_path, monkeypatch, kill_seq, every_us):
     """Run ``tasks`` in a pool whose workers die after checkpoint N."""
-    monkeypatch.setenv(KILL_ENV, str(kill_seq))
+    monkeypatch.setenv(
+        "REPRO_FAULT", f"checkpoint_write:seq={kill_seq},times={len(tasks)}"
+    )
+    monkeypatch.setenv("REPRO_FAULT_DIR", str(tmp_path / "faults"))
     runner = ExperimentRunner(
         max_workers=2,
         retries=3,
@@ -91,7 +93,7 @@ def _run_killed_sweep(tasks, tmp_path, monkeypatch, kill_seq, every_us):
         checkpoint_every_us=every_us,
     )
     results = runner.run(tasks)
-    monkeypatch.delenv(KILL_ENV)
+    monkeypatch.delenv("REPRO_FAULT")
     return runner, results
 
 

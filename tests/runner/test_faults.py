@@ -1,24 +1,35 @@
 """The runner's fault-tolerance contract, locked in.
 
-Four recovery paths, each exercised through deterministic fault
-injection (:mod:`repro.runner.faults`) and each required to produce
-results *bit-identical* to a clean serial run — a retried task reuses
-its exact ``SeedSpec``, so recovery must never change the numbers:
+Four recovery paths, each exercised through the deterministic
+``task_*`` fault points (:mod:`repro.faults`) and each required to
+produce results *bit-identical* to a clean serial run — a retried task
+reuses its exact ``SeedSpec``, so recovery must never change the
+numbers:
 
-- an ordinary task failure is retried with backoff (``raise`` mode);
-- a worker killed without cleanup (``exit`` mode → BrokenProcessPool)
+- an ordinary task failure is retried with backoff (``task_raise``);
+- a worker killed without cleanup (``task_exit`` → BrokenProcessPool)
   triggers a pool rebuild, or degradation to serial when the rebuild
   budget is exhausted;
-- a hung task (``hang`` mode) is killed by the per-task timeout and
+- a hung task (``task_hang``) is killed by the per-task timeout and
   retried;
 - a task that keeps failing leaves a structured failure record in
   partial mode instead of aborting the sweep.
+
+And no pool worker outlives a runner killed mid-sweep.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro import faults
 from repro.core.config import CsmaConfig, ScenarioConfig
 from repro.experiments.sweeps import sweep_configuration
 from repro.runner import (
@@ -31,7 +42,6 @@ from repro.runner import (
     require_complete,
     scenario_to_jsonable,
 )
-from repro.runner.faults import FaultPlan, parse_plan, plan_from_env
 
 COUNTS = (2, 3, 5)
 SIM_TIME_US = 2e5
@@ -51,7 +61,7 @@ def _sweep(runner, seed=1):
 
 def _arm(monkeypatch, tmp_path, spec):
     marker_dir = tmp_path / "fault-markers"
-    monkeypatch.setenv("REPRO_FAULT_INJECT", spec)
+    monkeypatch.setenv("REPRO_FAULT", spec)
     monkeypatch.setenv("REPRO_FAULT_DIR", str(marker_dir))
     return marker_dir
 
@@ -77,7 +87,7 @@ class TestCrashRecovery:
     def test_crash_retry_is_bit_identical(
         self, monkeypatch, tmp_path, clean_serial
     ):
-        marker_dir = _arm(monkeypatch, tmp_path, "raise:times=2")
+        marker_dir = _arm(monkeypatch, tmp_path, "task_raise:times=2")
         runner = ExperimentRunner(
             max_workers=4, retries=2, backoff_base_s=0.01
         )
@@ -92,7 +102,7 @@ class TestCrashRecovery:
     def test_serial_path_retries_too(
         self, monkeypatch, tmp_path, clean_serial
     ):
-        _arm(monkeypatch, tmp_path, "raise:times=2")
+        _arm(monkeypatch, tmp_path, "task_raise:times=2")
         runner = ExperimentRunner(
             max_workers=1, retries=1, backoff_base_s=0.01
         )
@@ -100,7 +110,7 @@ class TestCrashRecovery:
         assert runner.counters.retried == 2
 
     def test_without_retries_the_crash_aborts(self, monkeypatch, tmp_path):
-        _arm(monkeypatch, tmp_path, "raise:times=1")
+        _arm(monkeypatch, tmp_path, "task_raise:times=1")
         runner = ExperimentRunner(max_workers=1, retries=0)
         with pytest.raises(RunnerTaskError) as excinfo:
             _sweep(runner)
@@ -114,7 +124,7 @@ class TestBrokenPoolRecovery:
     def test_dead_worker_rebuilds_pool(
         self, monkeypatch, tmp_path, clean_serial
     ):
-        _arm(monkeypatch, tmp_path, "exit:times=1")
+        _arm(monkeypatch, tmp_path, "task_exit:times=1")
         runner = ExperimentRunner(
             max_workers=2, retries=2, backoff_base_s=0.01
         )
@@ -127,7 +137,7 @@ class TestBrokenPoolRecovery:
     def test_exhausted_rebuild_budget_degrades_to_serial(
         self, monkeypatch, tmp_path, clean_serial
     ):
-        _arm(monkeypatch, tmp_path, "exit:times=1")
+        _arm(monkeypatch, tmp_path, "task_exit:times=1")
         runner = ExperimentRunner(
             max_workers=2, retries=2, max_pool_rebuilds=0,
             backoff_base_s=0.01,
@@ -142,7 +152,7 @@ class TestTimeout:
     def test_hung_task_is_killed_and_retried(
         self, monkeypatch, tmp_path, clean_serial
     ):
-        _arm(monkeypatch, tmp_path, "hang:times=1,seconds=60")
+        _arm(monkeypatch, tmp_path, "task_hang:times=1,seconds=60")
         runner = ExperimentRunner(
             max_workers=2, retries=1, task_timeout_s=2.0,
             backoff_base_s=0.01,
@@ -155,7 +165,7 @@ class TestTimeout:
     def test_permanent_hang_records_timed_out_failure(
         self, monkeypatch, tmp_path
     ):
-        _arm(monkeypatch, tmp_path, "hang:times=1,seconds=60")
+        _arm(monkeypatch, tmp_path, "task_hang:times=1,seconds=60")
         runner = ExperimentRunner(
             max_workers=2, retries=0, task_timeout_s=1.5,
             on_failure="partial",
@@ -165,6 +175,59 @@ class TestTimeout:
         assert len(runner.failures) == 1
         assert runner.failures[0].timed_out
         assert runner.failures[0].error_type == "TimeoutError"
+
+
+def _exited(pid):
+    """True once ``pid`` is gone or a zombie nobody reaped yet."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
+
+
+@pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="needs /proc/<pid>/task/<pid>/children",
+)
+def test_pool_workers_exit_with_a_killed_runner(tmp_path):
+    env = dict(os.environ)
+    env.pop("REPRO_FAULT", None)
+    src_dir = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    with open(tmp_path / "cli.log", "wb") as log:
+        cli = subprocess.Popen(
+            [sys.executable, "-m", "repro.tools.cli", "sweep",
+             "--counts", "30", "40", "--sim-time", "2e7", "--reps", "2",
+             "--workers", "2"],
+            env=env,
+            stdout=log,
+            stderr=subprocess.STDOUT,
+        )
+    children_file = Path(f"/proc/{cli.pid}/task/{cli.pid}/children")
+    children = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(children) < 2:
+            assert cli.poll() is None, (tmp_path / "cli.log").read_text()
+            assert time.monotonic() < deadline, "no pool workers started"
+            children = [int(c) for c in children_file.read_text().split()]
+            time.sleep(0.02)
+        cli.kill()
+        cli.wait()
+        deadline = time.monotonic() + 2.0
+        while not all(_exited(pid) for pid in children):
+            assert time.monotonic() < deadline, "pool workers outlived the runner"
+            time.sleep(0.02)
+    finally:
+        if cli.poll() is None:
+            cli.kill()
+            cli.wait()
+        for pid in children:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass
 
 
 class TestPartialResults:
@@ -212,7 +275,7 @@ class TestTelemetry:
     def test_jsonl_trace_records_lifecycle(
         self, monkeypatch, tmp_path, clean_serial
     ):
-        _arm(monkeypatch, tmp_path, "raise:times=1")
+        _arm(monkeypatch, tmp_path, "task_raise:times=1")
         trace_path = tmp_path / "trace.jsonl"
         runner = ExperimentRunner(
             max_workers=2, retries=1, backoff_base_s=0.01,
@@ -273,24 +336,33 @@ class TestConfigValidation:
 
 class TestFaultPlanParsing:
     def test_parse_modes_and_options(self):
-        assert parse_plan("raise") == FaultPlan(mode="raise")
-        assert parse_plan("exit:times=3") == FaultPlan(mode="exit", times=3)
-        assert parse_plan("hang:seconds=1.5,times=2") == FaultPlan(
-            mode="hang", hang_s=1.5, times=2
-        )
+        assert faults.parse("task_raise") == {"task_raise": {"times": 1}}
+        assert faults.parse("task_exit:times=3") == {
+            "task_exit": {"times": 3}
+        }
+        assert faults.parse("task_hang:seconds=1.5,times=2") == {
+            "task_hang": {"seconds": 1.5, "times": 2}
+        }
 
     @pytest.mark.parametrize(
-        "spec", ["boom", "raise:times=0", "hang:seconds=0", "raise:nope=1"]
+        "spec",
+        [
+            "boom",
+            pytest.param("task_raise:times=0", id="raise:times=0"),
+            pytest.param("task_hang:seconds=0", id="hang:seconds=0"),
+            pytest.param("task_raise:nope=1", id="raise:nope=1"),
+        ],
     )
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ValueError):
-            parse_plan(spec)
+            faults.parse(spec)
 
     def test_no_marker_dir_disables_injection(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_INJECT", "raise")
+        monkeypatch.setenv("REPRO_FAULT", "task_raise")
         monkeypatch.delenv("REPRO_FAULT_DIR", raising=False)
-        assert plan_from_env() is None
+        with pytest.raises(ValueError, match="REPRO_FAULT_DIR"):
+            faults.fire(*faults.TASK_POINTS)
 
     def test_injection_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULT_INJECT", raising=False)
-        assert plan_from_env() is None
+        monkeypatch.delenv("REPRO_FAULT", raising=False)
+        assert faults.fire(*faults.TASK_POINTS) == (None, {})

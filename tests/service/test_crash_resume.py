@@ -1,9 +1,9 @@
 """kill -9 the orchestrator at every kill point; resume bit-identically.
 
-These tests run the orchestrator in a subprocess with
-``REPRO_SERVICE_KILL`` armed so ``os._exit`` fires at a deterministic
-point (after the journal fsync, after a lease grant, between the
-cache commit and the completion record).  The parent restarts the
+These tests run the orchestrator in a subprocess with one of its
+fault points armed through ``REPRO_FAULT``, so ``os._exit`` fires at a
+deterministic point (after the journal fsync, after a lease grant,
+between the cache commit and the completion record).  The parent restarts the
 service until it exits clean and asserts the final cache is
 bit-identical to an uninterrupted in-process ``ExperimentRunner``.
 """
@@ -17,14 +17,18 @@ import pytest
 
 import repro
 from repro.core.config import ScenarioConfig
+from repro.faults import POINTS
 from repro.runner import ExperimentRunner, SeedSpec, Task, TaskKind
 from repro.runner.cache import ResultCache, cache_key
 from repro.runner.serialize import scenario_to_jsonable
 from repro.service import TaskState, build_submission, fold_journal, write_submission
-from repro.service.faults import KILL_EXIT_CODE, KILL_POINTS
 from repro.service.orchestrator import ServicePaths
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
+KILL_EXIT_CODE = 113
+KILL_POINTS = [
+    name for name, point in POINTS.items() if point.exit_code == KILL_EXIT_CODE
+]
 SIM_TIME_US = 1e5
 
 SERVE_SNIPPET = (
@@ -109,8 +113,8 @@ class TestOrchestratorKillPoints:
         kills = _serve_until_clean(
             sdir,
             {
-                "REPRO_SERVICE_KILL": f"{point}:times={times}",
-                "REPRO_SERVICE_KILL_DIR": str(tmp_path / "kills"),
+                "REPRO_FAULT": f"{point}:times={times}",
+                "REPRO_FAULT_DIR": str(tmp_path / "kills"),
             },
         )
         assert kills == times
@@ -125,8 +129,8 @@ class TestOrchestratorKillPoints:
         _serve_until_clean(
             sdir,
             {
-                "REPRO_SERVICE_KILL": "result_commit:times=1",
-                "REPRO_SERVICE_KILL_DIR": str(tmp_path / "kills"),
+                "REPRO_FAULT": "result_commit:times=1",
+                "REPRO_FAULT_DIR": str(tmp_path / "kills"),
             },
         )
         state = fold_journal(sdir)
@@ -161,7 +165,7 @@ class TestWorkerKill:
         proc = _serve_subprocess(
             sdir,
             {
-                "REPRO_FAULT_INJECT": "exit:times=1",
+                "REPRO_FAULT": "task_exit:times=1",
                 "REPRO_FAULT_DIR": str(tmp_path / "faults"),
             },
         )
@@ -183,7 +187,7 @@ class TestWorkerKill:
         sdir = tmp_path / "svc"
         write_submission(ServicePaths(sdir).inbox, build_submission(tasks))
         env = {
-            "REPRO_FAULT_INJECT": "hang:times=1,seconds=60",
+            "REPRO_FAULT": "task_hang:times=1,seconds=60",
             "REPRO_FAULT_DIR": str(tmp_path / "faults"),
         }
         snippet = (

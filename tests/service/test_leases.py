@@ -83,7 +83,7 @@ def _records(orch, event):
 
 def _arm_fault(monkeypatch, tmp_path, spec):
     """Arm a one-shot worker fault; forked local workers inherit it."""
-    monkeypatch.setenv("REPRO_FAULT_INJECT", spec)
+    monkeypatch.setenv("REPRO_FAULT", spec)
     monkeypatch.setenv("REPRO_FAULT_DIR", str(tmp_path / "faults"))
 
 
@@ -122,7 +122,7 @@ class TestLocalWorkers:
     ):
         # The first attempt hangs; freezing its process silences the
         # heartbeat thread too, as a wedged interpreter would.
-        _arm_fault(monkeypatch, tmp_path, "hang:times=1,seconds=60")
+        _arm_fault(monkeypatch, tmp_path, "task_hang:times=1,seconds=60")
         orch = _orchestrator(tmp_path, baseline[0], lease_ttl_s=0.5)
         frozen = []
 
@@ -149,7 +149,7 @@ class TestLocalWorkers:
     def test_worker_exit_mid_task_fails_once_and_is_respawned(
         self, tmp_path, monkeypatch, baseline
     ):
-        _arm_fault(monkeypatch, tmp_path, "exit:times=1")
+        _arm_fault(monkeypatch, tmp_path, "task_exit:times=1")
         orch = _orchestrator(tmp_path, baseline[0])
         _serve(orch)
         (failed,) = _records(orch, "task_failed")
@@ -162,7 +162,7 @@ class TestLocalWorkers:
     ):
         # Heartbeats keep arriving from the hung attempt; only the
         # task timeout catches it.
-        _arm_fault(monkeypatch, tmp_path, "hang:times=1,seconds=60")
+        _arm_fault(monkeypatch, tmp_path, "task_hang:times=1,seconds=60")
         orch = _orchestrator(tmp_path, baseline[0], task_timeout_s=2.0)
         _serve(orch)
         (failed,) = _records(orch, "task_failed")
@@ -217,7 +217,7 @@ class TestDrain:
     ):
         # The attempt is in flight when the drain starts and finishes
         # well inside the 10 s drain window: its commit must land.
-        _arm_fault(monkeypatch, tmp_path, "hang:times=1,seconds=1.5")
+        _arm_fault(monkeypatch, tmp_path, "task_hang:times=1,seconds=1.5")
         orch = _orchestrator(tmp_path, baseline[0])
         workers = []
 

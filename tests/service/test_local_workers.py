@@ -50,8 +50,7 @@ def _tasks(count, sim_time_us):
 def _env(extra=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    for name in ("REPRO_FAULT_INJECT", "REPRO_NET_FAULT"):
-        env.pop(name, None)
+    env.pop("REPRO_FAULT", None)
     env.update(extra or {})
     return env
 
@@ -187,7 +186,7 @@ def test_no_local_worker_outlives_a_killed_orchestrator(tmp_path):
             [sys.executable, "-c", SERVE_SNIPPET, str(sdir), str(heartbeat_s)],
             env=_env(
                 {
-                    "REPRO_FAULT_INJECT": "hang:times=1,seconds=60",
+                    "REPRO_FAULT": "task_hang:times=1,seconds=60",
                     "REPRO_FAULT_DIR": str(tmp_path / "faults"),
                 }
             ),

@@ -12,11 +12,11 @@ killed/partitioned once):
 - **server** — SIGKILLed mid-sweep and restarted; the surviving worker
   polls through the outage and the restarted incarnation re-leases
   from the journal;
-- **worker** — dies hard (``REPRO_FAULT_INJECT=exit``) mid-task; the
+- **worker** — dies hard (``REPRO_FAULT=task_exit``) mid-task; the
   watchdog classifies the silent host dead and reclaims the shard
   *without consuming a retry attempt*;
 - **client** — its submission response is dropped
-  (``REPRO_NET_FAULT=drop``); the retried POST dedupes idempotently;
+  (``REPRO_FAULT=net_drop``); the retried POST dedupes idempotently;
 - **drain under load** — SIGTERM mid-sweep: in-flight tasks finish,
   new submissions get 503 + Retry-After, the process exits 143, and no
   lease leaks.
@@ -65,8 +65,8 @@ def _tasks(count=4, sim_time_us=SIM_TIME_US):
 def _env(extra=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("REPRO_NET_FAULT", None)
-    env.pop("REPRO_NET_FAULT_DIR", None)
+    env.pop("REPRO_FAULT", None)
+    env.pop("REPRO_FAULT_DIR", None)
     env.update(extra or {})
     return env
 
@@ -262,7 +262,7 @@ class TestShardedSweep:
             doomed = _spawn(
                 _work_args(port, "doomed", exit_when_idle=False),
                 extra_env={
-                    "REPRO_FAULT_INJECT": "exit:times=1",
+                    "REPRO_FAULT": "task_exit:times=1",
                     "REPRO_FAULT_DIR": str(tmp_path / "faults"),
                 },
             )
@@ -320,10 +320,10 @@ class TestNetFaultInjection:
             # not consume the single fault slot: the next client-role
             # request — the submission POST — loses its response.
             monkeypatch.setenv(
-                "REPRO_NET_FAULT", "drop:times=1,role=client"
+                "REPRO_FAULT", "net_drop:times=1,role=client"
             )
             monkeypatch.setenv(
-                "REPRO_NET_FAULT_DIR", str(tmp_path / "net-faults")
+                "REPRO_FAULT_DIR", str(tmp_path / "net-faults")
             )
             verdict = client.submit(build_submission(tasks))
             # The client-side retry absorbed the drop invisibly.
@@ -360,8 +360,8 @@ class TestNetFaultInjection:
             worker = _spawn(
                 _work_args(port, "flaky", idle_grace=2.0),
                 extra_env={
-                    "REPRO_NET_FAULT": "partition:times=2,role=worker",
-                    "REPRO_NET_FAULT_DIR": str(tmp_path / "net-faults"),
+                    "REPRO_FAULT": "net_partition:times=2,role=worker",
+                    "REPRO_FAULT_DIR": str(tmp_path / "net-faults"),
                 },
             )
             code, out = _finish(worker)

@@ -98,6 +98,22 @@ class TestBuildReport:
         roots = report["span_tree"]
         assert roots[0]["status"] == "open"
 
+    def test_torn_lines_keep_every_complete_span(self, tmp_path):
+        # kill -9 mid-append leaves a torn line; a non-object line is
+        # skipped by the same rule.
+        clean, torn = tmp_path / "clean", tmp_path / "torn"
+        clean.mkdir()
+        torn.mkdir()
+        _make_run_dir(clean, crashed=True)
+        _make_run_dir(torn, crashed=True)
+        for name in ("trace.jsonl", "spans.jsonl"):
+            with open(torn / name, "a", encoding="utf-8") as handle:
+                handle.write('[1, 2]\n{"event": "span_start", "run_id": "aa')
+        want, got = build_report(clean), build_report(torn)
+        assert got["span_tree"] == want["span_tree"]
+        assert got["summary"] == want["summary"]
+        assert got["open_span_count"] == 1
+
     def test_report_is_jsonable(self, tmp_path):
         _make_run_dir(tmp_path)
         json.dumps(build_report(tmp_path))

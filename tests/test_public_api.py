@@ -24,6 +24,7 @@ MODULES = [
     "repro.core.parameters",
     "repro.engine",
     "repro.experiments",
+    "repro.faults",
     "repro.hpav",
     "repro.mac",
     "repro.obs",
@@ -38,7 +39,6 @@ MODULES = [
     "repro.report",
     "repro.runner",
     "repro.service",
-    "repro.service.faults",
     "repro.service.journal",
     "repro.service.orchestrator",
     "repro.service.quarantine",
