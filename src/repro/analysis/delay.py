@@ -26,7 +26,6 @@ import math
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..core.config import CsmaConfig, TimingConfig
 from .fixed_point import (
@@ -34,7 +33,7 @@ from .fixed_point import (
     gamma_from_tau,
     solve_fixed_point,
 )
-from .recursive import RecursiveModel, stage_quantities
+from .recursive import RecursiveModel, jump_pmf, stage_quantities
 from .throughput import network_prediction
 
 __all__ = ["DelayPrediction", "DelayModel"]
@@ -65,13 +64,7 @@ def _stage_event_moments(
         ks = np.arange(w) + 1.0  # b + 1 events, b uniform
         return float(ks.mean()), float((ks**2).mean())
     bs = np.arange(w)
-    js = np.arange(1, w)
-    q = np.zeros(w)
-    if w > 1:
-        valid = js >= d + 1
-        if valid.any():
-            jv = js[valid]
-            q[jv] = stats.nbinom.pmf(jv - 1 - d, d + 1, p)
+    q = jump_pmf(w, d, p)
     jump_cdf = np.cumsum(q)
     attempt_given_b = 1.0 - jump_cdf[bs]
     first = (bs + 1.0) * attempt_given_b + np.cumsum(np.arange(w) * q)[bs]
@@ -197,6 +190,8 @@ class DelayModel:
 
         # Gamma fit to (mean, std) for percentiles.
         if std_us > 0:
+            from scipy import stats
+
             shape = (mean_us / std_us) ** 2
             scale = std_us**2 / mean_us
             dist = stats.gamma(a=shape, scale=scale)

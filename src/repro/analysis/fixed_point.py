@@ -11,17 +11,22 @@ deferral counter couples stations more strongly than plain BEB), so in
 addition to :func:`solve_fixed_point` we provide
 :func:`find_all_fixed_points`, which scans for every sign change of the
 residual.
+
+Both bracket solvers run :func:`brentq`, an in-tree port of scipy's C
+``brentq`` that returns the same float bit for bit, so the model path
+never pays for importing ``scipy.optimize``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "ConvergenceError",
+    "brentq",
     "gamma_from_tau",
     "solve_fixed_point",
     "find_all_fixed_points",
@@ -44,6 +49,8 @@ class ConvergenceError(RuntimeError):
 
     All solvers raise this by default; pass ``strict=False`` to get the
     old silent behaviour (return the last iterate / an empty root list).
+    :func:`brentq` raises it whatever ``strict`` says, where scipy's
+    ``brentq`` raised a bare ``RuntimeError``.
     """
 
     def __init__(
@@ -61,6 +68,110 @@ class ConvergenceError(RuntimeError):
         self.last_iterate = float(last_iterate)
         self.residual = float(residual)
         self.iterations = int(iterations)
+
+
+#: scipy.optimize.brentq's defaults.
+_BRENT_XTOL = 2e-12
+_BRENT_RTOL = 4 * float(np.finfo(float).eps)
+_BRENT_MAXITER = 100
+
+
+def brentq(
+    f: Callable[..., float],
+    a: float,
+    b: float,
+    args: tuple = (),
+    xtol: float = _BRENT_XTOL,
+    rtol: float = _BRENT_RTOL,
+    maxiter: int = _BRENT_MAXITER,
+) -> float:
+    """A root of ``f`` in the sign-changing bracket [a, b], by Brent's method.
+
+    A line-for-line port of scipy's C ``brentq``: the same iterates,
+    float operations, defaults and ``ValueError``s (same-sign bracket,
+    NaN value of ``f``, ``xtol <= 0``, ``rtol < 4·eps``, ``maxiter <
+    0``), so it returns ``scipy.optimize.brentq``'s float bit for bit.
+    Running out of ``maxiter`` iterations raises
+    :class:`ConvergenceError` (a ``RuntimeError``, as scipy raises)
+    carrying the last iterate and its \\|f\\|.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter should be > 0")
+
+    def call(x: float) -> float:
+        fx = float(f(x, *args))
+        if math.isnan(fx):
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue."
+            )
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    # Both are non-zero and not NaN, so ``x < 0`` is C's signbit(x).
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                try:
+                    stry = (
+                        -fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre))
+                    )
+                except ZeroDivisionError:
+                    # C divides an underflowed denominator into ±inf or
+                    # NaN, and either one fails the step test: bisect.
+                    stry = math.inf
+            # C's MIN(u, v): unlike min(), it yields v when u is NaN.
+            u, v = abs(spre), 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (u if u < v else v):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise ConvergenceError(
+        "Brent's method did not converge",
+        last_iterate=xcur,
+        residual=abs(fcur),
+        iterations=maxiter,
+    )
 
 
 def gamma_from_tau(tau: float, num_stations: int) -> float:
@@ -119,8 +230,8 @@ def solve_fixed_point(
         return damped_iteration(
             tau_of_gamma, num_stations, max_iter=max_iter, strict=strict
         )
-    return float(
-        brentq(_residual, lo, hi, args=(tau_of_gamma, num_stations), xtol=xtol)
+    return brentq(
+        _residual, lo, hi, args=(tau_of_gamma, num_stations), xtol=xtol
     )
 
 
@@ -154,13 +265,11 @@ def find_all_fixed_points(
             roots.append(float(taus[i]))
         elif r0 * r1 < 0:
             roots.append(
-                float(
-                    brentq(
-                        _residual,
-                        taus[i],
-                        taus[i + 1],
-                        args=(tau_of_gamma, num_stations),
-                    )
+                brentq(
+                    _residual,
+                    taus[i],
+                    taus[i + 1],
+                    args=(tau_of_gamma, num_stations),
                 )
             )
     # Deduplicate near-identical roots.

@@ -34,11 +34,43 @@ import dataclasses
 from typing import Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..core.config import CsmaConfig
 
-__all__ = ["StageQuantities", "stage_quantities", "RecursiveModel"]
+__all__ = [
+    "StageQuantities",
+    "jump_pmf",
+    "stage_quantities",
+    "RecursiveModel",
+]
+
+
+def jump_pmf(window: int, deferral: int, busy_probability: float) -> np.ndarray:
+    """q[j] = P(the deferral jump fires at slot event j), j = 0..w−1.
+
+    The (d+1)-th busy event falls on event j, i.e. j−1−d idle events
+    precede it: ``nbinom.pmf(j − 1 − d; d + 1, p)``, the probability of
+    k failures before the r-th success.  q[0] = 0: a jump needs at
+    least one event.
+
+    Bit-identical to ``scipy.stats.nbinom.pmf``, which evaluates the
+    ``scipy.special`` ufunc called here and clips it to [0, 1]; calling
+    the ufunc directly loads ``scipy.special`` (on the first call)
+    instead of all of ``scipy.stats``.
+    """
+    w, d, p = window, deferral, busy_probability
+    q = np.zeros(w)
+    jv = np.arange(d + 1, w)  # the events a jump can fall on
+    if jv.size:
+        try:
+            from scipy.special._ufuncs import _nbinom_pmf
+        except ImportError:  # the private ufunc moved: pay for stats
+            from scipy import stats
+
+            q[jv] = stats.nbinom.pmf(jv - 1 - d, d + 1, p)
+        else:
+            q[jv] = np.clip(_nbinom_pmf(jv - 1 - d, d + 1, p), 0.0, 1.0)
+    return q
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,23 +105,15 @@ def stage_quantities(
 
     if p < 1e-12:
         # Never (or negligibly often) busy: always transmit, after b
-        # backoff events.  The cutoff also guards scipy's nbinom
+        # backoff events.  The cutoff also guards :func:`jump_pmf`
         # against denormal probabilities.
         return StageQuantities(1.0, (w + 1) / 2.0)
 
     bs = np.arange(w)  # drawn BC values 0..w-1
 
     # P(jump exactly at event j) does not depend on the drawn b (only
-    # j <= b is required): the (d+1)-th busy falls on event j, i.e.
-    # j-1-d idle events precede the (d+1)-th busy.  nbinom.pmf(k; r, p)
-    # = P(k failures before the r-th success).
-    js = np.arange(1, w)  # candidate jump events 1..w-1
-    q = np.zeros(w)  # q[j] = P(jump at event j)
-    if w > 1:
-        valid = js >= d + 1
-        if valid.any():
-            jv = js[valid]
-            q[jv] = stats.nbinom.pmf(jv - 1 - d, d + 1, p)
+    # j <= b is required).
+    q = jump_pmf(w, d, p)
 
     # P(attempt | b) = P(no jump within the first b events)
     #               = 1 - sum_{j<=b} q[j]  (cumulative sums, O(w)).

@@ -16,7 +16,6 @@ import dataclasses
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ..core.config import TimingConfig
 from ..analysis.throughput import network_prediction
@@ -39,6 +38,7 @@ def optimal_tau(num_stations: int, timing: TimingConfig) -> float:
     """
     if num_stations < 1:
         raise ValueError("num_stations must be >= 1")
+    from scipy.optimize import minimize_scalar
 
     def negative_throughput(tau: float) -> float:
         return -network_prediction(

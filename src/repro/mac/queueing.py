@@ -25,6 +25,9 @@ from ..traffic.packets import EthernetFrame
 
 __all__ = ["AggregationPolicy", "PriorityQueues", "QueuedMme"]
 
+#: Priority classes, highest first: the order the MAC serves them in.
+_SERVICE_ORDER = tuple(sorted(PriorityClass, reverse=True))
+
 
 @dataclasses.dataclass(frozen=True)
 class AggregationPolicy:
@@ -96,7 +99,7 @@ class PriorityQueues:
     # -- inspection ------------------------------------------------------------
     def pending_priority(self) -> Optional[PriorityClass]:
         """Highest priority class with anything to send."""
-        for priority in sorted(PriorityClass, reverse=True):
+        for priority in _SERVICE_ORDER:
             if self._data[priority] or self._management[priority]:
                 return priority
         return None

@@ -25,6 +25,7 @@ both directions of the wire.
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import time
@@ -92,10 +93,11 @@ def http_json(
 ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
     """One JSON exchange: ``(status, parsed body, response headers)``.
 
-    Raises :class:`NetRequestError` on connection failure, timeout, 5xx,
-    429/503 backpressure (with ``retry_after_s`` attached), or an
-    injected network fault — callers (the sweep client's retry loop)
-    treat all of those uniformly as "this exchange did not succeed".
+    Raises :class:`NetRequestError` on connection failure, timeout, a
+    truncated response, 5xx, 429/503 backpressure (with
+    ``retry_after_s`` attached), or an injected network fault —
+    callers (the sweep client's retry loop) treat all of those
+    uniformly as "this exchange did not succeed".
     2xx/304/4xx responses return normally; a 304 (ETag hit) returns an
     empty body.
     """
@@ -134,7 +136,13 @@ def http_json(
             raise NetRequestError(
                 f"{method} {url} unreachable: {exc.reason}"
             ) from exc
-        except (socket.timeout, TimeoutError, ConnectionError, OSError) as exc:
+        except (
+            socket.timeout,
+            TimeoutError,
+            ConnectionError,
+            OSError,
+            http.client.HTTPException,  # e.g. a body torn by a dying server
+        ) as exc:
             raise NetRequestError(
                 f"{method} {url} failed: {exc}"
             ) from exc

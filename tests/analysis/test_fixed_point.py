@@ -1,14 +1,34 @@
 """Tests for the fixed-point machinery."""
 
-import pytest
+import math
 
+import numpy as np
+import pytest
+import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.bianchi import Bianchi80211Model
 from repro.analysis.fixed_point import (
+    _EPS,
     ConvergenceError,
+    _residual,
+    brentq,
     damped_iteration,
     find_all_fixed_points,
     gamma_from_tau,
     solve_fixed_point,
 )
+from repro.analysis.recursive import RecursiveModel
+from repro.core.config import CsmaConfig
+
+#: The schedules of test_1901_decoupling_fixed_point_is_unique.
+SCHEDULES = [
+    CsmaConfig.default_1901(),
+    CsmaConfig(cw=(8, 16, 32, 64), dc=(15, 15, 15, 15)),
+    CsmaConfig(cw=(2, 1024), dc=(0, 1023)),
+    CsmaConfig(cw=(64,) * 4, dc=(0, 1, 3, 15)),
+]
 
 
 class TestGammaFromTau:
@@ -82,16 +102,7 @@ class TestFindAllFixedPoints:
         the scalar decoupling fixed point is always unique — the
         multiple-equilibria phenomenon [5] discusses lives in the
         coupled dynamics (short-term capture), not in this map."""
-        from repro.analysis.recursive import RecursiveModel
-        from repro.core.config import CsmaConfig
-
-        configs = [
-            CsmaConfig.default_1901(),
-            CsmaConfig(cw=(8, 16, 32, 64), dc=(15, 15, 15, 15)),
-            CsmaConfig(cw=(2, 1024), dc=(0, 1023)),
-            CsmaConfig(cw=(64,) * 4, dc=(0, 1, 3, 15)),
-        ]
-        for config in configs:
+        for config in SCHEDULES:
             model = RecursiveModel(config)
             for n in (2, 10, 50):
                 roots = find_all_fixed_points(
@@ -181,3 +192,132 @@ class TestConvergenceError:
             assert err.value.last_iterate == 0.3
             assert err.value.iterations == 10000
             assert isinstance(err.value.__cause__, ConvergenceError)
+
+
+def _bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+#: Residual families with roots of every flatness, from linear to a
+#: cubic whose slope vanishes at the root.
+_FAMILIES = [
+    lambda x, c, k: k * (x - c),
+    lambda x, c, k: k * (x - c) ** 3 + 1e-3 * (x - c),
+    lambda x, c, k: math.tanh(k * (x - c)),
+    lambda x, c, k: math.expm1(min(k * (x - c), 700.0)),
+    lambda x, c, k: math.sin(k * (x - c)) + 0.1 * (x - c),
+    lambda x, c, k: 1e-300 * k * (x - c),
+]
+
+
+class TestBrentPort:
+    """:func:`brentq` returns scipy's float bit for bit."""
+
+    @given(
+        family=st.sampled_from(_FAMILIES),
+        root=st.floats(-10.0, 10.0),
+        log_k=st.floats(-5.0, 5.0),
+        log_left=st.floats(-8.0, 2.0),
+        log_right=st.floats(-8.0, 2.0),
+        flip=st.booleans(),
+        xtol=st.sampled_from([1e-12, 2e-12, 1e-6]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_scipy_on_sign_changing_brackets(
+        self, family, root, log_k, log_left, log_right, flip, xtol
+    ):
+        args = (root, 10.0**log_k)
+        a, b = root - 10.0**log_left, root + 10.0**log_right
+        if flip:
+            a, b = b, a
+        assume(family(a, *args) * family(b, *args) < 0)
+        want = scipy.optimize.brentq(family, a, b, args=args, xtol=xtol)
+        got = brentq(family, a, b, args=args, xtol=xtol)
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("xtol", [1e-12, 2e-12])
+    @pytest.mark.parametrize(
+        "tau_of_gamma",
+        [RecursiveModel(config).tau for config in SCHEDULES]
+        + [Bianchi80211Model().tau_of_gamma],
+        ids=["1901-default", "dc15", "cw2-1024", "cw64", "bianchi"],
+    )
+    def test_matches_scipy_on_model_residuals(self, tau_of_gamma, xtol):
+        for n in [*range(2, 31), 50, 100, 200]:
+            args = (tau_of_gamma, n)
+            want = scipy.optimize.brentq(
+                _residual, _EPS, 1.0 - _EPS, args=args, xtol=xtol
+            )
+            got = brentq(_residual, _EPS, 1.0 - _EPS, args=args, xtol=xtol)
+            assert _bits(got) == _bits(want), n
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-250, 1e-200, 1e-160])
+    def test_underflowing_extrapolation_matches_scipy(self, scale):
+        # The extrapolation denominator dblk·dpre·(fblk − fpre) underflows
+        # to 0; C steps by ±inf or NaN there, which fails the step test.
+        f = lambda x: scale * ((x - 0.3) ** 3 + 0.01 * (x - 0.3))
+        want = scipy.optimize.brentq(f, -3.0, 5.0)
+        assert _bits(brentq(f, -3.0, 5.0)) == _bits(want)
+
+    @pytest.mark.parametrize(
+        "f, a, b, kwargs",
+        [
+            (lambda x: x * x + 1.0, -1.0, 1.0, {}),  # same-sign bracket
+            (lambda x: math.nan, -1.0, 1.0, {}),  # NaN residual
+            (lambda x: x if x < 0 else math.nan, -1.0, 1.0, {}),
+            (lambda x: x, -1.0, 2.0, {"xtol": 0.0}),
+            (lambda x: x, -1.0, 2.0, {"xtol": -1e-12}),
+            (lambda x: x, -1.0, 2.0, {"rtol": 1e-16}),
+            (lambda x: x, -1.0, 2.0, {"maxiter": -1}),
+        ],
+        ids=[
+            "same-sign",
+            "nan",
+            "nan-at-b",
+            "xtol-zero",
+            "xtol-negative",
+            "rtol-small",
+            "maxiter-negative",
+        ],
+    )
+    def test_bad_input_raises_what_scipy_raises(self, f, a, b, kwargs):
+        with pytest.raises(Exception) as want:
+            scipy.optimize.brentq(f, a, b, **kwargs)
+        with pytest.raises(want.type):
+            brentq(f, a, b, **kwargs)
+        assert want.type is ValueError
+
+    def test_non_convergence_raises_with_evidence(self):
+        # x³ is flat at its root, so three steps from a wide bracket
+        # leave Brent far from it; scipy fails the same way.
+        f = lambda x: x**3
+        with pytest.raises(RuntimeError):
+            scipy.optimize.brentq(f, -1.0, 4.0, maxiter=3)
+        last, info = scipy.optimize.brentq(
+            f, -1.0, 4.0, maxiter=3, full_output=True, disp=False
+        )
+        assert not info.converged
+        with pytest.raises(ConvergenceError) as err:
+            brentq(f, -1.0, 4.0, maxiter=3)
+        exc = err.value
+        assert isinstance(exc, RuntimeError)
+        assert exc.iterations == 3
+        assert _bits(exc.last_iterate) == _bits(last)
+        assert exc.residual == abs(f(last)) > 0.0
+        assert "3 iteration" in str(exc)
+
+    def test_solvers_raise_convergence_error_not_bare_runtime_error(
+        self, monkeypatch
+    ):
+        from repro.analysis import fixed_point
+
+        def starved(*args, **kwargs):
+            return brentq(*args, **{**kwargs, "maxiter": 1})
+
+        monkeypatch.setattr(fixed_point, "brentq", starved)
+        f = lambda g: 0.4 * (1 - g) ** 3
+        with pytest.raises(ConvergenceError) as err:
+            solve_fixed_point(f, 3)
+        assert err.value.iterations == 1
+        with pytest.raises(ConvergenceError):
+            find_all_fixed_points(f, 3, grid_points=50)

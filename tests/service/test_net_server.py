@@ -5,6 +5,7 @@ through real sockets with :func:`repro.service.net.wire.http_json` —
 the same code path the sweep client and remote workers use.
 """
 
+import socket
 import threading
 
 import pytest
@@ -292,3 +293,37 @@ class TestRemoteExecution:
                 body={"worker_id": "w1"},
             )
         assert info.value.status == 503
+
+
+def test_torn_response_is_a_net_request_error():
+    """A server killed mid-response (headers sent, body cut short) is a
+    failed exchange the caller retries, not a crash in ``http.client``."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def serve_torn():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(65536)
+            conn.sendall(
+                b"HTTP/1.1 200 OK\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: 103\r\n\r\n{"
+            )
+
+    thread = threading.Thread(target=serve_torn, daemon=True)
+    thread.start()
+    port = listener.getsockname()[1]
+    try:
+        with pytest.raises(NetRequestError):
+            http_json(
+                "POST",
+                f"http://127.0.0.1:{port}/v1/results/x",
+                body={"worker_id": "w1"},
+                timeout_s=5.0,
+            )
+    finally:
+        thread.join(timeout=5.0)
+        listener.close()
+    assert not thread.is_alive()
