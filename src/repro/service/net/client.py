@@ -153,6 +153,11 @@ class SweepClient:
 
     # -- transport ---------------------------------------------------------
 
+    def _hold_s(self, wait_s: float) -> float:
+        """The hold to ask for: at most half the socket timeout, so a
+        held request never times out or trips a breaker."""
+        return max(0.0, min(wait_s, self.timeout_s / 2))
+
     def _host_order(self) -> List[str]:
         if self._preferred and self._preferred in self.hosts:
             rest = [h for h in self.hosts if h != self._preferred]
@@ -237,12 +242,21 @@ class SweepClient:
         return verdict
 
     def sweep_status(
-        self, submit_id: str, etag: Optional[str] = None
+        self,
+        submit_id: str,
+        etag: Optional[str] = None,
+        wait_s: float = 0.0,
     ) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
-        """``(status document, etag)``; document is ``None`` on a 304."""
-        status, doc, headers = self._request(
-            "GET", f"/v1/sweeps/{submit_id}", etag=etag
-        )
+        """``(status document, etag)``; document is ``None`` on a 304.
+
+        ``wait_s > 0`` asks the server to hold the request until the
+        sweep is done, for at most that long (see :meth:`_hold_s`).
+        """
+        path = f"/v1/sweeps/{submit_id}"
+        wait_s = self._hold_s(wait_s)
+        if wait_s > 0:
+            path += f"?wait={wait_s:.3f}"
+        status, doc, headers = self._request("GET", path, etag=etag)
         if status == 304:
             return None, etag
         if status == 404:
@@ -255,24 +269,37 @@ class SweepClient:
         poll_s: float = 0.5,
         timeout_s: Optional[float] = None,
     ) -> Dict[str, Any]:
-        """Poll (ETag-cheap) until every task of the sweep is settled."""
+        """Block until every task of the sweep is settled.
+
+        Each status request is held by the server for up to ``poll_s``
+        (never past ``timeout_s``'s deadline) and answered as soon as
+        the sweep is done.  An unfinished answer that comes back early —
+        from a server that does not hold — sleeps the rest of its hold,
+        so the loop never spins.
+        """
         deadline = (
             time.monotonic() + timeout_s if timeout_s is not None else None
         )
         etag: Optional[str] = None
         last_doc: Optional[Dict[str, Any]] = None
         while True:
-            doc, etag = self.sweep_status(submit_id, etag=etag)
+            asked = time.monotonic()
+            hold_s = self._hold_s(poll_s)
+            if deadline is not None:
+                hold_s = min(hold_s, max(0.0, deadline - asked))
+            doc, etag = self.sweep_status(submit_id, etag=etag, wait_s=hold_s)
             if doc is not None:
                 last_doc = doc
                 if doc.get("done"):
                     return doc
-            if deadline is not None and time.monotonic() >= deadline:
+            now = time.monotonic()
+            if deadline is not None and now >= deadline:
                 raise TimeoutError(
                     f"sweep {submit_id} not done after {timeout_s}s: "
                     f"{(last_doc or {}).get('counts')}"
                 )
-            time.sleep(poll_s)
+            if asked + hold_s > now:
+                time.sleep(asked + hold_s - now)
 
     def fetch_result(self, task_id: str) -> Optional[Dict[str, Any]]:
         """The committed result document for ``task_id`` (None = none)."""
@@ -294,12 +321,16 @@ class SweepClient:
     # -- worker protocol (what work_loop calls) ----------------------------
 
     def claim(
-        self, worker_id: str
+        self, worker_id: str, wait_s: float = 0.0
     ) -> Tuple[Optional[Dict[str, Any]], bool]:
         """``(shard, idle)``: a leased shard, or ``None`` plus whether
-        the service has nothing pending or leased anywhere."""
+        the service has nothing pending or leased anywhere.  With
+        ``wait_s > 0`` the server holds an idle claim until a task can
+        be leased, for at most that long (see :meth:`_hold_s`)."""
         status, doc, _headers = self._request(
-            "POST", "/v1/claims", body={"worker_id": worker_id}
+            "POST",
+            "/v1/claims",
+            body={"worker_id": worker_id, "wait_s": self._hold_s(wait_s)},
         )
         if status == 200 and doc.get("task_id"):
             return doc, False

@@ -14,18 +14,29 @@ Wire surface (all JSON; see :mod:`repro.service.net.wire`):
                                              (202; 429 + Retry-After past
                                              ``--max-queue-depth``; 503 +
                                              Retry-After while draining)
-``GET /v1/sweeps/<submit_id>``               folded submission status
-                                             (ETag on the journal seq)
+``GET /v1/sweeps/<submit_id>[?wait=S]``      folded submission status
+                                             (ETag on the journal seq;
+                                             held until done, up to S)
 ``GET /v1/tasks/<task_id>``                  folded task status + forensics
 ``GET /v1/tasks/<task_id>/result``           the cached result document
 ``GET /v1/metrics``                          OpenMetrics text exposition
 ``GET /v1/status``                           service counts / liveness
 ``POST /v1/claims``                          remote worker claims a shard
+                                             (an idle claim is held up to
+                                             its body's ``wait_s``)
 ``PUT /v1/leases/<task_id>``                 remote heartbeat (409 = lost)
 ``POST /v1/tasks/<task_id>/result``          commit (idempotent; lost acks
                                              converge as ``duplicate``)
 ``POST /v1/tasks/<task_id>/fail``            report a failed attempt
 ===========================================  ==============================
+
+Two requests may be *held* (long-polled): a claim that finds nothing to
+lease, and the status of a sweep that is not done.  Either stays open
+until a journal append answers it — every state change is journaled
+first, and the orchestrator notifies its ``appended`` condition after
+each append — or until the hold the caller asked for runs out, clamped to
+:data:`MAX_HOLD_S`.  Held time is logged as ``held_s``, apart from the
+handling time in ``duration_s``.
 
 Submissions are idempotent end to end: the body hashes to the same
 sha256 ``submit_id`` and per-task cache keys as the ``submit`` CLI, so
@@ -44,11 +55,15 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
+import select
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
+from urllib.parse import parse_qs
 
 from ... import faults
 from ...obs.registry import MetricsRegistry
@@ -56,7 +71,7 @@ from ...telemetry.openmetrics import render_openmetrics
 from ..orchestrator import Orchestrator
 from ..state import TaskState
 from ..submit import submission_id, validate_submission
-from .wire import parse_hostport
+from .wire import DEFAULT_TIMEOUT_S, parse_hostport
 
 __all__ = ["ServiceHTTPServer", "serve_http"]
 
@@ -64,6 +79,64 @@ __all__ = ["ServiceHTTPServer", "serve_http"]
 RETRY_AFTER_BUSY_S = 5
 #: Retry-After advice (seconds) for 503 drain refusals.
 RETRY_AFTER_DRAIN_S = 2
+#: Longest hold a request may ask for: half a client's default socket
+#: timeout, so a held request never reads as a dead server.
+MAX_HOLD_S = DEFAULT_TIMEOUT_S / 2
+
+
+def _hold_seconds(value: Any) -> Optional[float]:
+    """A requested hold clamped to ``[0, MAX_HOLD_S]``; ``None`` when
+    ``value`` is not a number of seconds."""
+    if isinstance(value, bool):
+        return None
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    if math.isnan(seconds):
+        return None
+    return min(max(seconds, 0.0), MAX_HOLD_S)
+
+
+class _Hold:
+    """One exchange's hold: the client's socket and the seconds spent
+    parked, which the access log and the latency histogram keep apart
+    from handling time."""
+
+    def __init__(self, sock: Optional[socket.socket] = None) -> None:
+        self.sock = sock
+        self.held_s = 0.0
+
+    def wakeups(
+        self, appended: threading.Condition, wait_s: float
+    ) -> Iterator[None]:
+        """Yield now, then after each journal append, until ``wait_s``
+        has passed.  The caller holds the orchestrator's lock and leaves
+        the loop once it has its answer."""
+        deadline = time.monotonic() + wait_s
+        while True:
+            yield
+            left = deadline - time.monotonic()
+            if left <= 0:
+                return
+            parked = time.perf_counter()
+            appended.wait(left)
+            self.held_s += time.perf_counter() - parked
+
+    def client_gone(self) -> bool:
+        """True once the client closed its end: its socket reads EOF."""
+        if self.sock is None:
+            return False
+        try:
+            readable, _, _ = select.select([self.sock], [], [], 0)
+        except ValueError:  # a descriptor select cannot watch: can't tell
+            return False
+        if not readable:
+            return False
+        try:
+            return self.sock.recv(1, socket.MSG_PEEK) == b""
+        except OSError:  # reset by the peer
+            return True
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -81,8 +154,12 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.service  # type: ignore[attr-defined]
 
     def _read_body(self) -> Optional[Dict[str, Any]]:
+        """The JSON object sent, if any; ``ValueError`` when
+        ``Content-Length`` is not a length."""
         length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        if length < 0:
+            raise ValueError(f"negative Content-Length {length}")
+        if length == 0:
             return None
         raw = self.rfile.read(length)
         try:
@@ -131,18 +208,30 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if point == "net_delay":
             time.sleep(options["delay_s"])
-        body = self._read_body()
+        hold = _Hold(self.connection)
         try:
-            status, payload, headers = service.route(method, self.path, body, self.headers)
-            if point == "net_duplicate":
+            body = self._read_body()
+        except ValueError:
+            # The body's end is unknown, so the connection cannot carry
+            # another request.
+            self.close_connection = True
+            status, payload, headers = 400, {"error": "bad Content-Length"}, {}
+        else:
+            try:
                 status, payload, headers = service.route(
-                    method, self.path, body, self.headers
+                    method, self.path, body, self.headers, hold
                 )
-        except Exception as exc:  # a handler bug must not kill the server
-            status, payload, headers = 500, {"error": repr(exc)}, {}
-        duration = time.perf_counter() - start
+                if point == "net_duplicate":
+                    status, payload, headers = service.route(
+                        method, self.path, body, self.headers, hold
+                    )
+            except Exception as exc:  # a handler bug must not kill the server
+                status, payload, headers = 500, {"error": repr(exc)}, {}
+        duration = time.perf_counter() - start - hold.held_s
         service._observe(method, self.path, status, duration)
-        service._log_access(method, self.path, status, duration, fault=point)
+        service._log_access(
+            method, self.path, status, duration, hold.held_s, fault=point
+        )
         if point == "net_drop":
             self._sever()
             return
@@ -248,6 +337,7 @@ class ServiceHTTPServer:
         path: str,
         status: int,
         duration_s: float,
+        held_s: float = 0.0,
         fault: Optional[str] = None,
     ) -> None:
         record = {
@@ -256,6 +346,7 @@ class ServiceHTTPServer:
             "path": path,
             "status": status,
             "duration_s": round(duration_s, 6),
+            "held_s": round(held_s, 6),
             "run_id": self.orchestrator.trace.run_id,
         }
         if fault:
@@ -276,8 +367,13 @@ class ServiceHTTPServer:
         path: str,
         body: Optional[Dict[str, Any]],
         headers: Any,
+        hold: Optional[_Hold] = None,
     ) -> Tuple[int, Union[Dict[str, Any], str, None], Dict[str, str]]:
-        path = path.split("?", 1)[0].rstrip("/")
+        """``(status, payload, headers)`` for one request; ``hold`` is
+        the exchange a held claim or status parks on."""
+        hold = hold or _Hold()
+        path, _, query = path.partition("?")
+        path = path.rstrip("/")
         parts = [p for p in path.split("/") if p]
         if not parts or parts[0] != "v1":
             return 404, {"error": f"no such route: {path}"}, {}
@@ -288,7 +384,10 @@ class ServiceHTTPServer:
             if parts == ["metrics"]:
                 return self._get_metrics()
             if len(parts) == 2 and parts[0] == "sweeps":
-                return self._get_sweep(parts[1], headers)
+                wait_s = _hold_seconds(parse_qs(query).get("wait", [0])[-1])
+                if wait_s is None:
+                    return 400, {"error": "wait must be seconds"}, {}
+                return self._get_sweep(parts[1], headers, wait_s, hold)
             if len(parts) == 2 and parts[0] == "tasks":
                 return self._get_task(parts[1], headers)
             if len(parts) == 3 and parts[0] == "tasks" and parts[2] == "result":
@@ -297,7 +396,7 @@ class ServiceHTTPServer:
             if parts == ["sweeps"]:
                 return self._post_sweep(body)
             if parts == ["claims"]:
-                return self._post_claim(body)
+                return self._post_claim(body, hold)
             if len(parts) == 3 and parts[0] == "tasks" and parts[2] == "result":
                 return self._post_result(parts[1], body)
             if len(parts) == 3 and parts[0] == "tasks" and parts[2] == "fail":
@@ -346,28 +445,36 @@ class ServiceHTTPServer:
         return 202, verdict, {"ETag": self._etag()}
 
     def _get_sweep(
-        self, submit_id: str, headers: Any
+        self,
+        submit_id: str,
+        headers: Any,
+        wait_s: float,
+        hold: _Hold,
     ) -> Tuple[int, Union[Dict[str, Any], None], Dict[str, str]]:
+        """The sweep's status, held up to ``wait_s`` while it is not
+        done; ``304`` when the journal has not moved past the client's
+        ETag."""
         orch = self.orchestrator
-        etag = self._etag()
-        if headers is not None and headers.get("If-None-Match") == etag:
-            return 304, None, {"ETag": etag}
+        settled = (TaskState.COMPLETED, TaskState.QUARANTINED)
         with orch.lock:
             submit = orch.state.submits.get(submit_id)
             if submit is None:
                 return 404, {"error": f"unknown sweep {submit_id}"}, {}
-            tasks = {
-                t.task_id: t.state
-                for t in orch.state.tasks.values()
-                if t.submit_id == submit_id
-            }
+            for _ in hold.wakeups(orch.appended, wait_s):
+                tasks = [
+                    task
+                    for task in orch.state.tasks.values()
+                    if task.submit_id == submit_id
+                ]
+                done = all(task.state in settled for task in tasks)
+                if done:
+                    break
+            etag = self._etag()
+            if headers is not None and headers.get("If-None-Match") == etag:
+                return 304, None, {"ETag": etag}
             counts = {state: 0 for state in TaskState.ALL}
-            for state in tasks.values():
-                counts[state] += 1
-            done = all(
-                state in (TaskState.COMPLETED, TaskState.QUARANTINED)
-                for state in tasks.values()
-            )
+            for task in tasks:
+                counts[task.state] += 1
             payload = {
                 "submit_id": submit_id,
                 "accepted": submit.accepted,
@@ -377,7 +484,7 @@ class ServiceHTTPServer:
                 "reason": submit.reason,
                 "counts": counts,
                 "done": done,
-                "tasks": tasks,
+                "tasks": {task.task_id: task.state for task in tasks},
             }
         return 200, payload, {"ETag": etag}
 
@@ -439,19 +546,32 @@ class ServiceHTTPServer:
     # -- worker routes -----------------------------------------------------
 
     def _post_claim(
-        self, body: Optional[Dict[str, Any]]
+        self, body: Optional[Dict[str, Any]], hold: _Hold
     ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+        """Lease a shard; an idle claim is held up to the body's
+        ``wait_s`` and answered by the first append that makes a task
+        claimable (admission, a requeue, a failed attempt) or a drain."""
         orch = self.orchestrator
-        worker_id = (body or {}).get("worker_id")
+        body = body or {}
+        worker_id = body.get("worker_id")
         if not isinstance(worker_id, str) or not worker_id:
             return 400, {"error": "worker_id required"}, {}
-        if orch.draining or orch.closed:
-            return self._unavailable()
-        shard = orch.remote_claim(worker_id)
-        if shard is not None:
-            self._worker_tasks.inc(worker=worker_id, outcome="claimed")
-            return 200, shard, {}
+        wait_s = _hold_seconds(body.get("wait_s", 0))
+        if wait_s is None:
+            return 400, {"error": "wait_s must be seconds"}, {}
         with orch.lock:
+            for _ in hold.wakeups(orch.appended, wait_s):
+                if orch.draining or orch.closed:
+                    return self._unavailable()
+                if wait_s and hold.client_gone():
+                    # A worker killed while parked: a shard leased to it
+                    # would sit out the lease TTL.  Nobody reads this
+                    # answer; 499 marks it in the access log.
+                    return 499, {"error": "client closed the connection"}, {}
+                shard = orch.remote_claim(worker_id)
+                if shard is not None:
+                    self._worker_tasks.inc(worker=worker_id, outcome="claimed")
+                    return 200, shard, {}
             idle = orch.state.queue_depth == 0
         return 200, {"task": None, "idle": idle}, {}
 

@@ -93,6 +93,13 @@ def work_loop(
     how long the worker keeps polling through an unreachable or
     draining service (``None`` = forever, the production default —
     workers outlive restarts).
+
+    A claim after an idle answer asks the server to hold it for
+    ``poll_s``: it returns when a task can be leased, not a poll later.
+    The first claim, and the first after a shard or an unreachable
+    spell, is not held, so the worker learns at once where it stands.
+    An idle answer that comes back before its hold ran out (a server
+    that does not hold) sleeps the rest, so the loop never spins.
     """
     worker_id = worker_id or _default_worker_id()
     client = client or SweepClient(urls, role="worker", retries=1)
@@ -107,12 +114,15 @@ def work_loop(
     }
     unreachable_since: Optional[float] = None
     idle_since: Optional[float] = None
+    hold_s = 0.0
     while True:
         if max_tasks is not None and stats["claims"] >= max_tasks:
             return stats
+        asked = time.monotonic()
         try:
-            shard, idle = client.claim(worker_id)
+            shard, idle = client.claim(worker_id, hold_s)
         except AllHostsUnreachable:
+            hold_s = 0.0
             now = time.monotonic()
             if unreachable_since is None:
                 unreachable_since = now
@@ -134,10 +144,14 @@ def work_loop(
                     return stats
             else:
                 idle_since = None
-            time.sleep(poll_s)
+            now = time.monotonic()
+            if asked + hold_s > now:
+                time.sleep(asked + hold_s - now)
+            hold_s = poll_s
             continue
 
         idle_since = None
+        hold_s = 0.0
         stats["claims"] += 1
         task_id = shard["task_id"]
         task = task_from_description(
@@ -219,7 +233,16 @@ class PipeClient:
                     "orchestrator pipe closed", last_error=exc
                 ) from exc
 
-    def claim(self, worker_id: str) -> Tuple[Optional[Dict[str, Any]], bool]:
+    def claim(
+        self, worker_id: str, wait_s: float = 0.0
+    ) -> Tuple[Optional[Dict[str, Any]], bool]:
+        # The orchestrator answers pipe calls from its loop, so nothing
+        # holds the claim there.  Waiting first, then asking, keeps the
+        # local cadence at one claim per ``poll_s`` while idle; left to
+        # work_loop's fill-the-rest sleep, every idle spell would open
+        # with two back-to-back claims.
+        if wait_s > 0:
+            time.sleep(wait_s)
         shard = self._call("claim")
         if shard == LOCAL_STOP:
             raise AllHostsUnreachable("orchestrator stopping")

@@ -256,6 +256,11 @@ class Orchestrator:
         #: *writer at a time* — an RLock so handler paths can call the
         #: same helpers the loop uses.
         self.lock = threading.RLock()
+        #: Notified after every journal append: what an HTTP request
+        #: held open (an idle claim, an unfinished sweep's status)
+        #: waits on.  Every state change is journaled first, so an
+        #: append is the one wake-up any held question needs.
+        self.appended = threading.Condition(self.lock)
         #: Set while a drain is in progress — the HTTP layer answers
         #: 503 + Retry-After to new submissions and claims, and local
         #: workers are told to stop.
@@ -300,7 +305,7 @@ class Orchestrator:
         """Reclaim every lease the previous incarnation held, then close
         the ``result_commit`` crash window from the cache."""
         for record in self.state.by_state(TaskState.LEASED):
-            self.journal.append(
+            self._append(
                 "lease_reclaimed",
                 task_id=record.task_id,
                 reason="orchestrator restart",
@@ -326,7 +331,7 @@ class Orchestrator:
         self.paths.pid_file.write_text(str(os.getpid()), encoding="utf-8")
         resumed = self.state.records > 0
         self.state.incarnations.append(
-            self.journal.append(
+            self._append(
                 "service_resume" if resumed else "service_start",
                 pid=os.getpid(),
                 run_id=self.trace.run_id,
@@ -380,7 +385,7 @@ class Orchestrator:
             with self.lock:
                 self._release_leases("drain" if drained else "shutdown")
                 self.state.incarnations.append(
-                    self.journal.append(
+                    self._append(
                         "service_stop",
                         pid=os.getpid(),
                         drained=drained,
@@ -472,7 +477,7 @@ class Orchestrator:
                     f"queue depth {depth} + {len(new)} new tasks "
                     f"exceeds limit {self.config.max_queue_depth}"
                 )
-                self.journal.append(
+                self._append(
                     "sweep_rejected", submit_id=submit_id, reason=reason
                 )
                 self.state.submits[submit_id] = SubmitRecord(
@@ -485,7 +490,7 @@ class Orchestrator:
                     "submit_id": submit_id,
                     "reason": reason,
                 }
-            self.journal.append(
+            self._append(
                 "sweep_accepted",
                 submit_id=submit_id,
                 label=submission.get("label"),
@@ -500,7 +505,7 @@ class Orchestrator:
                 deduped=deduped,
             )
             for task_id, description in new:
-                self.journal.append(
+                self._append(
                     "task_enqueued",
                     task_id=task_id,
                     submit_id=submit_id,
@@ -539,7 +544,7 @@ class Orchestrator:
         if submit_id is None or submit_id not in self.state.submits:
             # admit_submission journals depth rejections itself; only
             # pre-admission failures (malformed file) land here.
-            self.journal.append(
+            self._append(
                 "sweep_rejected", submit_id=submit_id, reason=reason
             )
             self.state.submits[submit_id or path.stem] = SubmitRecord(
@@ -576,7 +581,7 @@ class Orchestrator:
         cached = self.cache.get(record.task_id)
         if cached is None:
             return
-        self.journal.append(
+        self._append(
             "task_completed",
             task_id=record.task_id,
             source="cache",
@@ -763,7 +768,7 @@ class Orchestrator:
             # is not evidence against the task.  If the host later
             # commits its result, remote_complete converges on the
             # cache key (duplicate commits are idempotent).
-            self.journal.append(
+            self._append(
                 "lease_reclaimed",
                 task_id=lease.task_id,
                 reason=f"watchdog: remote {verdict} "
@@ -814,7 +819,7 @@ class Orchestrator:
         del self._leases[task_id]
         record = self.state.tasks[task_id]
         attempt = record.attempts + 1
-        self.journal.append(
+        self._append(
             "task_failed",
             task_id=task_id,
             attempt=attempt,
@@ -849,7 +854,7 @@ class Orchestrator:
                 run_id=self.trace.run_id,
                 span_id=lease.span_id,
             )
-            self.journal.append(
+            self._append(
                 "task_quarantined",
                 task_id=task_id,
                 attempts=attempt,
@@ -906,7 +911,7 @@ class Orchestrator:
                 attempt=attempt,
                 worker=worker_id,
             )
-            self.journal.append(
+            self._append(
                 "lease_granted",
                 task_id=task_id,
                 lease_id=f"{worker_id}-{self.journal.seq}",
@@ -984,7 +989,7 @@ class Orchestrator:
                 return "duplicate"
             self.cache.put(task_id, result, record.description or {})
             faults.fire("result_commit")
-            self.journal.append(
+            self._append(
                 "task_completed",
                 task_id=task_id,
                 source="worker",
@@ -1063,7 +1068,7 @@ class Orchestrator:
         """
         with self.lock:
             self.draining = True
-            self.journal.append(
+            self._append(
                 "drain_start",
                 pid=os.getpid(),
                 leases=len(self._leases),
@@ -1078,7 +1083,7 @@ class Orchestrator:
 
     def _release_leases(self, reason: str) -> None:
         for lease in list(self._leases.values()):
-            self.journal.append(
+            self._append(
                 "lease_released",
                 task_id=lease.task_id,
                 reason=reason,
@@ -1087,6 +1092,15 @@ class Orchestrator:
             self._requeue(lease)
 
     # -- helpers -----------------------------------------------------------
+
+    def _append(self, event: str, **fields: Any) -> Dict[str, Any]:
+        """Journal one record and wake the requests held on
+        :attr:`appended`.  They run once the caller releases the lock,
+        after the state change the record announces."""
+        with self.appended:
+            record = self.journal.append(event, **fields)
+            self.appended.notify_all()
+        return record
 
     def _flush_telemetry(self) -> None:
         telemetry = self.paths.telemetry

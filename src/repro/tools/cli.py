@@ -434,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     work.add_argument(
         "--poll", type=_timeout_seconds, default=0.5, metavar="SECONDS",
-        help="idle poll period between claim attempts (default: 0.5)",
+        help="longest the server holds an idle claim before answering "
+        "it idle (default: 0.5)",
     )
     work.add_argument(
         "--exit-when-idle", action="store_true",

@@ -7,6 +7,8 @@ bit-identical results.
 """
 
 import threading
+import time
+import types
 
 import pytest
 
@@ -20,7 +22,10 @@ from repro.service.net import (
     SweepClient,
     serve_http,
 )
-from repro.service.net.worker import work_loop
+from repro.service.net import client as client_module
+from repro.service.net import worker as worker_module
+from repro.service.net.worker import PipeClient, work_loop
+from repro.service.submit import build_submission
 
 SIM_TIME_US = 1e5
 
@@ -181,3 +186,142 @@ class TestGracefulDegradation:
             serve_thread.join(timeout=60)
         assert out["source"] == "remote"
         assert out["results"] == want
+
+
+class _FakeClock:
+    """Virtual time for :func:`work_loop`: sleeps advance it and are
+    recorded."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.sleeps = []
+
+    def monotonic(self):
+        return self.now
+
+    perf_counter = monotonic
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+class _ScriptedClient:
+    """Answers claims from a script of ``(answer, held)``: a held answer
+    comes when its hold ends, like a server that holds; the rest come
+    back at once, like one that does not."""
+
+    def __init__(self, clock, script):
+        self.clock = clock
+        self.script = list(script)
+        self.holds = []
+
+    def claim(self, worker_id, wait_s=0.0):
+        self.holds.append(wait_s)
+        answer, held = self.script.pop(0)
+        if held:
+            self.clock.now += wait_s
+        return answer
+
+    def heartbeat(self, task_id, worker_id):
+        return True
+
+    def commit(self, task_id, worker_id, **fields):
+        return "committed"
+
+    def fail(self, task_id, worker_id, **fields):
+        return "failed"
+
+
+class TestHeldClaims:
+    def test_work_loop_holds_only_claims_after_an_idle_answer(
+        self, monkeypatch
+    ):
+        clock = _FakeClock()
+        monkeypatch.setattr(
+            worker_module,
+            "time",
+            types.SimpleNamespace(
+                monotonic=clock.monotonic,
+                perf_counter=clock.perf_counter,
+                sleep=clock.sleep,
+            ),
+        )
+        monkeypatch.setattr(
+            worker_module, "task_from_description", lambda d, runtime=None: d
+        )
+        monkeypatch.setattr(
+            worker_module, "run_task", lambda task: {"result": {"x": 1}}
+        )
+        shard = {"task_id": "t1", "task": {}, "heartbeat_interval_s": 60}
+        busy, idle = (None, False), (None, True)
+        client = _ScriptedClient(
+            clock,
+            [
+                (busy, False),  # first claim: unheld
+                (busy, False),  # a server that does not hold: sleep the rest
+                (busy, True),  # a held answer: no sleep on top
+                ((shard, False), False),
+                (idle, False),  # first claim after a shard: unheld
+                (idle, True),
+                (idle, True),  # idle for the whole grace: exit
+            ],
+        )
+        stats = work_loop(
+            (),
+            worker_id="w",
+            poll_s=0.5,
+            exit_when_idle=True,
+            idle_grace_s=1.0,
+            client=client,
+        )
+        assert stats["completed"] == 1
+        assert client.holds == [0.0, 0.5, 0.5, 0.5, 0.0, 0.5, 0.5]
+        assert clock.sleeps == [0.5]
+
+    def test_pipe_client_waits_then_asks(self):
+        asked = []
+
+        class _Conn:
+            def send(self, message):
+                asked.append((time.monotonic(), message))
+
+            def recv(self):
+                return None
+
+        start = time.monotonic()
+        assert PipeClient(_Conn()).claim("w", 0.2) == (None, False)
+        (when, message), = asked
+        assert message == ("claim", None, {})
+        assert when - start >= 0.2
+
+    def test_wait_holds_within_half_the_timeout_and_its_deadline(
+        self, tmp_path, monkeypatch
+    ):
+        sent = []
+        real_http_json = client_module.http_json
+
+        def recording_http_json(method, url, **kwargs):
+            sent.append(url)
+            return real_http_json(method, url, **kwargs)
+
+        monkeypatch.setattr(client_module, "http_json", recording_http_json)
+        orch = Orchestrator(
+            ServiceConfig(service_dir=tmp_path / "svc", max_workers=0)
+        )
+        with serve_http(orch, ":0") as server:
+            client = _fast_client([server.url], timeout_s=1.0)
+            submit_id = client.submit(build_submission(_tasks(1)))[
+                "submit_id"
+            ]
+            start = time.monotonic()
+            with pytest.raises(TimeoutError):
+                client.wait(submit_id, poll_s=5.0, timeout_s=1.3)
+            overrun = time.monotonic() - start - 1.3
+        orch.journal.close()
+        holds = [
+            float(url.split("?wait=")[1]) for url in sent if "?wait=" in url
+        ]
+        assert holds and max(holds) <= 0.5  # half the 1 s socket timeout
+        assert holds[-1] < 0.5  # the last one ends at the deadline
+        assert overrun < 0.2

@@ -7,15 +7,19 @@ the same code path the sweep client and remote workers use.
 
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.core.config import ScenarioConfig
+from repro.obs.recording import read_jsonl
 from repro.runner import ExperimentRunner, SeedSpec, Task, TaskKind
 from repro.runner.cache import cache_key
 from repro.runner.serialize import scenario_to_jsonable
 from repro.service import Orchestrator, ServiceConfig, TaskState
 from repro.service.net import NetRequestError, http_json, serve_http
+from repro.service.net import server as server_module
+from repro.service.net.wire import DEFAULT_TIMEOUT_S
 from repro.service.net.worker import work_loop
 from repro.service.submit import build_submission
 from repro.telemetry.openmetrics import validate_openmetrics
@@ -293,6 +297,230 @@ class TestRemoteExecution:
                 body={"worker_id": "w1"},
             )
         assert info.value.status == 503
+
+
+#: Seconds a held request is given in these tests; every "prompt"
+#: answer must come well inside it.
+HOLD_S = 4.0
+
+
+class _Held(threading.Thread):
+    """One held request on its own thread: ``answered`` is when the
+    reply arrived, ``outcome`` the reply or the raised error."""
+
+    def __init__(self, method, url, body=None):
+        super().__init__(daemon=True)
+        self.request = (method, url, body)
+        self.outcome = None
+        self.answered = None
+
+    def run(self):
+        method, url, body = self.request
+        try:
+            self.outcome = http_json(method, url, body=body)
+        except NetRequestError as exc:
+            self.outcome = exc
+        self.answered = time.monotonic()
+
+    def result(self):
+        self.join(timeout=HOLD_S + 5)
+        assert not self.is_alive()
+        return self.outcome
+
+
+def _held_claim(server, worker_id="w1"):
+    held = _Held(
+        "POST",
+        server.url + "/v1/claims",
+        body={"worker_id": worker_id, "wait_s": HOLD_S},
+    )
+    held.start()
+    time.sleep(0.3)  # parked on the journal by now
+    return held
+
+
+def _access(server):
+    return read_jsonl(server.access_log_path)
+
+
+def _wait_for_access(server, predicate):
+    deadline = time.monotonic() + HOLD_S
+    while time.monotonic() < deadline:
+        if server.access_log_path.exists() and any(
+            predicate(row) for row in _access(server)
+        ):
+            return
+        time.sleep(0.02)
+    raise AssertionError("no such access-log record")
+
+
+class TestHeldRequests:
+    def test_held_claim_answers_on_submission(self, front):
+        _orch, server = front
+        held = _held_claim(server)
+        submitted = time.monotonic()
+        http_json(
+            "POST", server.url + "/v1/sweeps", body=build_submission(_tasks(1))
+        )
+        status, shard, _ = held.result()
+        assert status == 200 and shard["task_id"]
+        assert held.answered - submitted < HOLD_S / 2
+        record = [r for r in _access(server) if r["path"] == "/v1/claims"][-1]
+        # Held time is not handling time.
+        assert record["held_s"] > 0.2
+        assert record["duration_s"] < record["held_s"]
+
+    def test_held_claim_answers_on_watchdog_requeue(self, front):
+        orch, server = front
+        http_json(
+            "POST", server.url + "/v1/sweeps", body=build_submission(_tasks(1))
+        )
+        _s, first, _ = http_json(
+            "POST", server.url + "/v1/claims", body={"worker_id": "w1"}
+        )
+        held = _held_claim(server, worker_id="w2")
+        requeued = time.monotonic()
+        with orch.lock:
+            orch._leases[first["task_id"]].last_beat_monotonic -= 1e3
+            orch._watchdog()
+        status, shard, _ = held.result()
+        assert status == 200 and shard["task_id"] == first["task_id"]
+        assert held.answered - requeued < HOLD_S / 2
+        assert orch.remote_leases() == {first["task_id"]: "w2"}
+
+    def test_idle_held_claim_answers_after_its_hold(self, front):
+        _orch, server = front
+        asked = time.monotonic()
+        status, doc, _ = http_json(
+            "POST",
+            server.url + "/v1/claims",
+            body={"worker_id": "w1", "wait_s": 0.6},
+        )
+        assert time.monotonic() - asked >= 0.6
+        assert status == 200 and doc == {"task": None, "idle": True}
+        assert _access(server)[-1]["held_s"] >= 0.55
+
+    def test_drain_answers_held_claim_503(self, front):
+        orch, server = front
+        held = _held_claim(server)
+        drained = time.monotonic()
+        orch._drain()
+        outcome = held.result()
+        assert isinstance(outcome, NetRequestError)
+        assert outcome.status == 503 and outcome.retry_after_s is not None
+        assert held.answered - drained < HOLD_S / 2
+
+    def test_held_claim_of_a_dead_client_leases_nothing(self, front):
+        orch, server = front
+        body = b'{"worker_id": "dead", "wait_s": 4}'
+        sock = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+        sock.sendall(
+            b"POST /v1/claims HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+        )
+        time.sleep(0.3)  # parked on the journal by now
+        sock.close()  # the worker dies while parked
+        tasks = _tasks(1)
+        http_json(
+            "POST", server.url + "/v1/sweeps", body=build_submission(tasks)
+        )
+        _wait_for_access(
+            server, lambda r: r["path"] == "/v1/claims" and r["status"] == 499
+        )
+        task_id = cache_key(tasks[0].describe())
+        with orch.lock:
+            assert orch.state.tasks[task_id].state == TaskState.PENDING
+        assert orch.remote_leases() == {}
+        # The task goes to the next live claim.
+        _s, shard, _ = http_json(
+            "POST", server.url + "/v1/claims", body={"worker_id": "live"}
+        )
+        assert shard["task_id"] == task_id
+
+    def test_held_status_answers_when_the_sweep_is_done(self, front):
+        orch, server = front
+        submission = build_submission(_tasks(1))
+        http_json("POST", server.url + "/v1/sweeps", body=submission)
+        url = server.url + f"/v1/sweeps/{submission['submit_id']}"
+        held = _Held("GET", url + f"?wait={HOLD_S}")
+        held.start()
+        time.sleep(0.3)
+        _s, shard, _ = http_json(
+            "POST", server.url + "/v1/claims", body={"worker_id": "w1"}
+        )
+        committed = time.monotonic()
+        assert orch.remote_complete(shard["task_id"], "w1", {"x": 1}) == (
+            "committed"
+        )
+        status, doc, headers = held.result()
+        assert status == 200 and doc["done"] is True
+        assert held.answered - committed < HOLD_S / 2
+        assert headers["ETag"] == f'"journal-seq-{orch.journal.seq}"'
+
+    def test_held_status_is_304_after_its_hold_when_unchanged(self, front):
+        _orch, server = front
+        submission = build_submission(_tasks(1))
+        http_json("POST", server.url + "/v1/sweeps", body=submission)
+        url = server.url + f"/v1/sweeps/{submission['submit_id']}"
+        _s, doc, headers = http_json("GET", url)
+        assert doc["done"] is False
+        asked = time.monotonic()
+        status, _doc, headers2 = http_json(
+            "GET", url + "?wait=0.5", etag=headers["ETag"]
+        )
+        assert time.monotonic() - asked >= 0.5
+        assert status == 304 and headers2["ETag"] == headers["ETag"]
+
+    def test_hold_is_clamped_and_a_malformed_one_is_400(
+        self, front, monkeypatch
+    ):
+        _orch, server = front
+        assert server_module.MAX_HOLD_S == DEFAULT_TIMEOUT_S / 2
+        submission = build_submission(_tasks(1))
+        http_json("POST", server.url + "/v1/sweeps", body=submission)
+        url = server.url + f"/v1/sweeps/{submission['submit_id']}"
+        _s, _doc, headers = http_json("GET", url)
+        monkeypatch.setattr(server_module, "MAX_HOLD_S", 0.3)
+        asked = time.monotonic()
+        status, _doc, _ = http_json(
+            "GET", url + "?wait=600", etag=headers["ETag"]
+        )
+        assert status == 304
+        assert time.monotonic() - asked < HOLD_S / 2
+        status, doc, _ = http_json("GET", url + "?wait=soon")
+        assert status == 400 and "error" in doc
+        status, doc, _ = http_json(
+            "POST",
+            server.url + "/v1/claims",
+            body={"worker_id": "w1", "wait_s": "soon"},
+        )
+        assert status == 400 and "error" in doc
+
+
+@pytest.mark.parametrize("length", [b"abc", b"-1"])
+def test_bad_content_length_is_a_logged_400(front, length):
+    """A request whose ``Content-Length`` is not a length is answered
+    and logged, not dropped with the handler thread (``abc``) or left
+    reading until the client hangs up (``-1``)."""
+    _orch, server = front
+    address = ("127.0.0.1", server.port)
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(
+            b"POST /v1/claims HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n{}"
+        )
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.1 400")
+    assert b"bad Content-Length" in reply
+    record = _access(server)[-1]
+    assert record["path"] == "/v1/claims" and record["status"] == 400
 
 
 def test_torn_response_is_a_net_request_error():
