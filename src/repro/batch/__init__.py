@@ -14,10 +14,10 @@ event-by-event :class:`~repro.core.simulator.SlotSimulator`:
   simulator emit comparable per-round records, which the differential
   harness in ``tests/batch/`` asserts equal, round by round.
 
-Scenarios the kernel cannot run (unsaturated arrivals, finite retry
-limits) raise :class:`UnsupportedScenario`; callers fall back to the
-event-driven paths.  See ``docs/batch-kernel.md`` for the array
-layout, the lockstep round algorithm and the support matrix.
+The kernel runs every scenario :class:`~repro.core.simulator
+.SlotSimulator` runs: saturated and unsaturated stations, finite retry
+limits, 1901 and 802.11 schedules.  See ``docs/batch-kernel.md`` for
+the array layout, the lockstep round algorithm and the support matrix.
 """
 
 from .adapter import (
@@ -27,13 +27,7 @@ from .adapter import (
     kernel_round_records,
     slotsim_round_records,
 )
-from .kernel import (
-    BatchSlotKernel,
-    UnsupportedScenario,
-    batch_simulate,
-    check_supported,
-    supports_scenario,
-)
+from .kernel import BatchSlotKernel, batch_simulate
 from .lanes import LaneRngs, vector_draws_available
 
 __all__ = [
@@ -41,12 +35,9 @@ __all__ = [
     "KernelTraceRecorder",
     "LaneRngs",
     "RoundRecord",
-    "UnsupportedScenario",
     "batch_simulate",
-    "check_supported",
     "compare_round_records",
     "kernel_round_records",
     "slotsim_round_records",
-    "supports_scenario",
     "vector_draws_available",
 ]

@@ -50,7 +50,9 @@ station)`` array state (``attempts``/``retry_limit``/``st_drops`` and
 contains such stations so the saturated fast path pays nothing.
 Delay recording and slot traces beyond the ``on_round`` hook, PRS
 priority resolution and chaos plans remain with the scalar simulator
-and the event-driven testbed; see :func:`check_supported`.
+and the event-driven testbed.  The support-matrix property test
+(``tests/batch/test_support_matrix.py``) holds every scenario family
+to the differential harness.
 """
 
 from __future__ import annotations
@@ -66,9 +68,6 @@ from ..engine.randomness import RandomStreams
 from .lanes import LaneRngs
 
 __all__ = [
-    "UnsupportedScenario",
-    "check_supported",
-    "supports_scenario",
     "BatchSlotKernel",
     "batch_simulate",
 ]
@@ -80,39 +79,6 @@ _NO_RETRY_LIMIT = np.int64(2**62)
 _INIT = np.int64(StationState.INIT)
 _IDLE = np.int64(StationState.IDLE)
 _DORMANT = np.int64(StationState.DORMANT)
-
-
-class UnsupportedScenario(ValueError):
-    """The batch kernel cannot run this scenario (use the FSM paths)."""
-
-
-def check_supported(scenario: ScenarioConfig) -> None:
-    """Raise :class:`UnsupportedScenario` unless the kernel can run it.
-
-    The kernel covers the full :class:`~repro.core.config
-    .ScenarioConfig` space the scalar
-    :class:`~repro.core.simulator.SlotSimulator` runs — saturated and
-    unsaturated stations, heterogeneous mixes, finite retry limits,
-    1901/802.11 schedules — so this gate currently admits every
-    scenario.  It stays in the API (and ``BatchRunner`` keeps calling
-    it per point) so a future feature outside the kernel's reach has a
-    single place to declare itself, with the scalar fallback already
-    wired.  The support-matrix property test
-    (``tests/batch/test_support_matrix.py``) holds every admitted
-    scenario family to the differential harness.
-    """
-    # Everything ScenarioConfig can express is supported; validation
-    # of the configuration itself happened in its constructor.
-    del scenario
-
-
-def supports_scenario(scenario: ScenarioConfig) -> bool:
-    """Whether :class:`BatchSlotKernel` can run ``scenario``."""
-    try:
-        check_supported(scenario)
-    except UnsupportedScenario:
-        return False
-    return True
 
 
 class BatchSlotKernel:
@@ -158,8 +124,6 @@ class BatchSlotKernel:
     ) -> None:
         if not scenarios:
             raise ValueError("batch needs at least one scenario")
-        for scenario in scenarios:
-            check_supported(scenario)
         if streams is not None and len(streams) != len(scenarios):
             raise ValueError(
                 f"got {len(streams)} stream trees for "

@@ -43,9 +43,9 @@ class RunnerCounters:
     lifetime; the cache-effectiveness counters are what the
     reproducibility tests assert on (a warm second run must show
     ``executed == 0``).  The fault counters (``retried``, ``failed``,
-    ``timeouts``, ``pool_rebuilds``, ``degraded_serial``) stay truthful
-    even when a run aborts mid-sweep — finalization happens in the
-    runner's ``finally`` block.
+    ``timeouts``, ``pool_rebuilds``) stay truthful even when a run
+    aborts mid-sweep — finalization happens in the runner's
+    ``finally`` block.
     """
 
     #: Points requested across all ``run()`` calls.
@@ -65,11 +65,9 @@ class RunnerCounters:
     failed: int = 0
     #: Task attempts killed by the per-task wall-clock timeout.
     timeouts: int = 0
-    #: Worker-pool rebuilds after a dead worker (BrokenProcessPool).
+    #: Workers replaced after one exited or overran ``task_timeout_s``
+    #: (the name predates per-worker replacement).
     pool_rebuilds: int = 0
-    #: Times a run degraded to serial in-process execution after
-    #: exhausting its pool-rebuild budget.
-    degraded_serial: int = 0
     #: Times a remote sweep fell back to local execution because every
     #: service host was unreachable (the HTTP client's graceful path).
     degraded_local: int = 0

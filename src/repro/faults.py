@@ -1,7 +1,7 @@
 """The fault plane: named fault points for the crash-recovery proofs.
 
-Every recovery path — a task retried after a crash, a pool rebuilt
-after a dead worker, an orchestrator restarted from its journal, a
+Every recovery path — a task retried after a crash, a worker
+replaced after it died, an orchestrator restarted from its journal, a
 checkpointed point resumed mid-simulation, a request lost on the
 wire — is proven by firing a fault at a named point and asserting the
 outcome is bit-identical to an undisturbed run.  :data:`POINTS` is

@@ -4,8 +4,9 @@ The paper's evaluation — throughput-vs-N sweeps, the (CW, DC) boosting
 search, fairness and coexistence studies — consists of many *independent*
 simulation points.  This package runs them:
 
-- **in parallel** across processes (:class:`ExperimentRunner`, backed by
-  :class:`concurrent.futures.ProcessPoolExecutor`, with an in-process
+- **in parallel** across processes (:class:`ExperimentRunner`, whose
+  forked workers claim tasks one at a time over the worker protocol
+  the service shares, :mod:`repro.runner.workers`; an in-process
   serial path for ``max_workers=1``);
 - **deterministically** — every point's random stream is derived from
   ``(root_seed, point_index, repetition)`` via
@@ -20,10 +21,11 @@ simulation points.  This package runs them:
 The execution layer is **fault tolerant**: per-task retries with
 capped exponential backoff (a retry reuses the task's exact
 :class:`SeedSpec`, so recovery cannot change the numbers), per-task
-wall-clock timeouts, automatic worker-pool rebuilds after a crashed
-worker with graceful degradation to serial execution, and an optional
-partial-results mode that returns what completed plus a structured
-:class:`TaskFailure` per lost point (:mod:`repro.runner.telemetry`).
+wall-clock timeouts, a fresh worker for each one that dies or
+overruns — charging only the task it held one attempt — and an
+optional partial-results mode that returns what completed plus a
+structured :class:`TaskFailure` per lost point
+(:mod:`repro.runner.telemetry`).
 Fault paths are exercised deterministically through the ``task_*``
 fault points of :mod:`repro.faults`.
 

@@ -1,4 +1,4 @@
-"""Batch-kernel execution with per-point caching and scalar fallback.
+"""Batch-kernel execution with per-point caching.
 
 :class:`BatchRunner` is the sweep-facing entry to
 :class:`~repro.batch.kernel.BatchSlotKernel`: it takes the same
@@ -21,9 +21,8 @@ scalar task would have written.  Consequences:
   nothing batch-specific is persisted.
 
 The kernel covers the full ``ScenarioConfig`` space (saturated and
-unsaturated stations, finite retry limits — see
-:func:`~repro.batch.kernel.check_supported`); the per-point scalar
-fallback remains as a safety valve should the gate ever narrow again.
+unsaturated stations, finite retry limits), so every uncached point
+goes to it.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from ..batch.kernel import supports_scenario
 from ..core.config import ScenarioConfig
 from ..core.metrics import RunnerCounters
 from ..telemetry.context import TelemetryContext, activate
@@ -133,7 +131,6 @@ class BatchRunner:
         inputs.
         """
         points: List[Dict[str, Any]] = []
-        expanded: List[ScenarioConfig] = []
         for i, scenario in enumerate(scenarios):
             payload = scenario_to_jsonable(scenario)
             for rep in range(repetitions):
@@ -141,9 +138,8 @@ class BatchRunner:
                     root_seed=root_seed, point_index=i, repetition=rep
                 )
                 points.append({"scenario": payload, "seed": seed})
-                expanded.append(scenario)
 
-        raw = self._run_points(points, expanded)
+        raw = self._run_points(points)
         grouped: List[List[SimPointResult]] = []
         for i, scenario in enumerate(scenarios):
             chunk = raw[i * repetitions : (i + 1) * repetitions]
@@ -163,25 +159,23 @@ class BatchRunner:
         — e.g. the validity harness's legacy-``simulate`` seeds, which
         reproduce :func:`repro.core.simulator.simulate` bit-for-bit —
         pass their own :class:`~repro.runner.seeding.SeedSpec` per
-        point.  Caching, chunked kernel dispatch and the scalar
-        fallback behave exactly as in :meth:`run_scenarios`.
+        point.  Caching and chunked kernel dispatch behave exactly as
+        in :meth:`run_scenarios`.
         """
         points: List[Dict[str, Any]] = [
             {"scenario": scenario_to_jsonable(scenario), "seed": spec}
             for scenario, spec in pairs
         ]
-        raw = self._run_points(points, [scenario for scenario, _ in pairs])
+        raw = self._run_points(points)
         return [
             rehydrate_simulation(scenario, entry)
             for (scenario, _), entry in zip(pairs, raw)
         ]
 
     def _run_points(
-        self,
-        points: List[Dict[str, Any]],
-        scenarios: List[ScenarioConfig],
+        self, points: List[Dict[str, Any]]
     ) -> List[Dict[str, Any]]:
-        """Resolve every point: cache, batch kernel, or scalar fallback."""
+        """Resolve every point: from the cache or on the batch kernel."""
         self.counters.points_total += len(points)
         self.counters.workers = 1
         results: List[Optional[Dict[str, Any]]] = [None] * len(points)
@@ -230,12 +224,7 @@ class BatchRunner:
                             kind=task.kind,
                             span_id=sweep_id,
                         )
-                    if supports_scenario(scenarios[idx]):
-                        batched.append(idx)
-                    else:
-                        results[idx] = self._finish(
-                            idx, task, keys[idx], sweep_id
-                        )
+                    batched.append(idx)
 
                 for start in range(0, len(batched), self.chunk_size):
                     chunk = batched[start : start + self.chunk_size]
@@ -349,45 +338,3 @@ class BatchRunner:
             },
             seed=point["seed"],
         )
-
-    def _finish(
-        self,
-        idx: int,
-        task: Task,
-        key: str,
-        sweep_id: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """Scalar in-process fallback for an unsupported point."""
-        span_id = None
-        if self.spans is not None:
-            span_id = self.spans.start(
-                "scalar_fallback", parent_id=sweep_id, task_index=idx
-            )
-        if self.trace is not None:
-            self.trace.record(
-                "started",
-                task_index=idx,
-                kind=task.kind,
-                span_id=span_id or sweep_id,
-            )
-        t0 = time.perf_counter()
-        try:
-            result = execute_task(task)
-        except BaseException:
-            if self.spans is not None and span_id is not None:
-                self.spans.end(span_id, status="error")
-            raise
-        self.counters.executed += 1
-        if self.trace is not None:
-            self.trace.record(
-                "finished",
-                task_index=idx,
-                kind=task.kind,
-                duration_s=time.perf_counter() - t0,
-                span_id=span_id or sweep_id,
-            )
-        if self.spans is not None and span_id is not None:
-            self.spans.end(span_id)
-        if self.cache is not None:
-            self.cache.put(key, result, task.describe())
-        return result

@@ -7,8 +7,10 @@ order*, regardless of completion order, worker count or cache state:
 1. every task's cache key is computed in the submitting process;
 2. cached points are answered from disk;
 3. the remaining points run either in-process (``max_workers=1`` — the
-   serial fallback, no pool, no pickling) or on a
-   :class:`concurrent.futures.ProcessPoolExecutor`;
+   serial path, no processes, no pickling) or on the forked workers of
+   a :class:`~repro.runner.workers.WorkerPlane`, which claim them one
+   at a time, heartbeat them and commit their results — the protocol
+   the service's workers speak;
 4. fresh results are written back to the cache (when one is
    configured) and every result is slotted back by task index.
 
@@ -22,12 +24,11 @@ retried up to ``retries`` times with capped exponential backoff — and
 because a retry resubmits the *same* :class:`Task` (hence the same
 ``SeedSpec``), the determinism contract extends to failure paths: a
 sweep that recovers from worker crashes is bit-identical to a clean
-run.  A dead worker (:class:`BrokenProcessPool`) triggers an automatic
-pool rebuild, up to ``max_pool_rebuilds`` times, after which the
-remaining points degrade gracefully to serial in-process execution.
-``task_timeout_s`` puts a wall-clock bound on each running task (pool
-mode only — a hung task cannot be preempted in-process); overrunning
-tasks have their workers killed and count as ordinary failures.  With
+run.  ``task_timeout_s`` puts a wall-clock bound on each running task
+(on workers only — a hung task cannot be preempted in-process).  A
+worker that dies or overruns the bound charges the one task it held
+one failed attempt; it is killed if need be and a fresh worker takes
+its place (counted in ``pool_rebuilds``).  With
 ``on_failure="partial"``, a task that exhausts its retries leaves
 ``None`` in its result slot and a structured
 :class:`~repro.runner.telemetry.TaskFailure` on ``runner.failures``
@@ -41,16 +42,10 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import os
 import sys
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
 from pathlib import Path
 from typing import (
     Any,
@@ -73,14 +68,9 @@ from .serialize import scenario_to_jsonable
 from ..telemetry.context import TelemetryContext, activate
 from ..telemetry.openmetrics import write_openmetrics
 from ..telemetry.spans import SpanRecorder
-from .tasks import (
-    Task,
-    TaskKind,
-    checkpoint_status,
-    exit_when_orphaned,
-    run_task,
-)
+from .tasks import Task, TaskKind, checkpoint_status, resume_point, run_task
 from .telemetry import TaskFailure, TraceRecorder
+from .workers import IDLE_CLAIM_S, WorkerPlane
 
 __all__ = [
     "RunnerConfig",
@@ -104,6 +94,11 @@ class RunnerTaskError(RuntimeError):
         self.failures = list(failures)
 
 
+class _WorkerTraceback(Exception):
+    """The traceback text a worker sent with a failed attempt, chained
+    as the cause of the :class:`RunnerTaskError` it led to."""
+
+
 @dataclasses.dataclass(frozen=True)
 class RunnerConfig:
     """How to execute experiment points.
@@ -125,9 +120,10 @@ class RunnerConfig:
         one attempt total).  A retry reuses the task's exact
         ``SeedSpec``, so retrying cannot change the numbers.
     task_timeout_s:
-        Per-task wall-clock bound, enforced in pool mode by killing
-        the worker of an overrunning task.  ``None`` (default)
-        disables it; not enforceable on the serial path.
+        Per-task wall-clock bound, enforced by killing the worker of an
+        overrunning task.  ``None`` (default) disables it; with
+        ``max_workers=1`` there is no worker to kill, so it is not
+        enforced.
     backoff_base_s / backoff_max_s:
         Capped exponential backoff before retry ``k`` (1-based):
         ``min(backoff_max_s, backoff_base_s * 2**(k-1))``.
@@ -169,9 +165,6 @@ class RunnerConfig:
         ``spans.jsonl`` and ``metrics.prom`` inside the directory (the
         layout ``repro-plc top`` and ``repro-plc report`` expect).
         Explicitly-set paths win over the derived ones.
-    max_pool_rebuilds:
-        Broken-pool rebuilds tolerated per ``run()`` before degrading
-        the remaining points to serial in-process execution.
     checkpoint_dir:
         When set, ``simulate`` and ``collision_test`` points snapshot
         their full simulation state into
@@ -211,7 +204,6 @@ class RunnerConfig:
     backoff_seed: Optional[int] = None
     on_failure: str = "raise"
     trace_path: Optional[Union[str, Path]] = None
-    max_pool_rebuilds: int = 2
     checkpoint_dir: Optional[Union[str, Path]] = None
     checkpoint_every_us: Optional[float] = None
     resume: bool = True
@@ -259,10 +251,6 @@ class RunnerConfig:
             raise ValueError(
                 f"on_failure must be 'raise' or 'partial', got {self.on_failure!r}"
             )
-        if self.max_pool_rebuilds < 0:
-            raise ValueError(
-                f"max_pool_rebuilds must be >= 0, got {self.max_pool_rebuilds}"
-            )
 
     def resolved_workers(self) -> int:
         if not self.max_workers:
@@ -304,6 +292,8 @@ class _Pending:
 
     index: int
     task: Task
+    #: ``task.describe()`` and its cache key.
+    description: Dict[str, Any]
     key: str
     #: Failed attempts so far (0 = never attempted).
     attempt: int = 0
@@ -318,10 +308,22 @@ class _Pending:
 class _RunState:
     """Mutable bookkeeping of one ``run()`` call."""
 
+    #: One slot per task, in task order.
+    results: List[Optional[Dict[str, Any]]]
     done: int = 0
-    total: int = 0
     executed: int = 0
     failures: List[TaskFailure] = dataclasses.field(default_factory=list)
+    #: Entries waiting for a worker, in claim order.
+    queue: List[_Pending] = dataclasses.field(default_factory=list)
+    #: Leased entries by task index — a task list may repeat a cache
+    #: key — each with its :func:`resume_point` at lease time.
+    leases: Dict[int, Tuple[_Pending, Optional[Tuple[int, float]]]] = (
+        dataclasses.field(default_factory=dict)
+    )
+
+    @property
+    def total(self) -> int:
+        return len(self.results)
 
 
 class ExperimentRunner:
@@ -381,8 +383,7 @@ class ExperimentRunner:
         self.counters.points_total += len(tasks)
         self.counters.workers = workers
 
-        results: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
-        state = _RunState(total=len(tasks))
+        state = _RunState(results=[None] * len(tasks))
         with contextlib.ExitStack() as scope:
             sweep_id: Optional[str] = None
             if self.spans is not None:
@@ -407,11 +408,12 @@ class ExperimentRunner:
             try:
                 pending: List[_Pending] = []
                 for i, task in enumerate(tasks):
-                    key = cache_key(task.describe())
+                    description = task.describe()
+                    key = cache_key(description)
                     if self.cache is not None:
                         cached = self.cache.get(key)
                         if cached is not None:
-                            results[i] = cached
+                            state.results[i] = cached
                             state.done += 1
                             self.trace.record(
                                 "cache_hit",
@@ -423,6 +425,7 @@ class ExperimentRunner:
                     entry = _Pending(
                         index=i,
                         task=self._with_checkpointing(task, key),
+                        description=description,
                         key=key,
                     )
                     if self.spans is not None:
@@ -445,10 +448,13 @@ class ExperimentRunner:
                     )
                 self._progress(state.done, state.total)
 
-                if workers == 1 or len(pending) <= 1:
-                    self._run_serial(pending, results, state)
+                # A lone task gains nothing from a worker — unless only
+                # a worker can enforce its timeout.
+                inline = 1 if self.config.task_timeout_s is None else 0
+                if workers == 1 or len(pending) <= inline:
+                    self._run_serial(pending, state)
                 else:
-                    self._run_pool(pending, results, state, workers)
+                    self._run_workers(pending, state, workers)
             finally:
                 # Counter finalization must not depend on a clean sweep:
                 # a mid-run failure still leaves truthful telemetry.
@@ -481,7 +487,7 @@ class ExperimentRunner:
                 if self.config.trace_path is not None:
                     self.trace.flush_jsonl(self.config.trace_path)
                 self._write_metrics(force=True)
-        return results
+        return state.results
 
     #: Task kinds whose executors understand the checkpoint runtime.
     _CHECKPOINTABLE = (TaskKind.SIMULATE, TaskKind.COLLISION_TEST)
@@ -567,10 +573,7 @@ class ExperimentRunner:
 
     # -- serial path -------------------------------------------------------
     def _run_serial(
-        self,
-        pending: Sequence[_Pending],
-        results: List[Optional[Dict[str, Any]]],
-        state: _RunState,
+        self, pending: Sequence[_Pending], state: _RunState
     ) -> None:
         for entry in pending:
             while True:
@@ -584,240 +587,149 @@ class ExperimentRunner:
                     attempt=entry.attempt,
                     span_id=entry.span_id,
                 )
+                resume = resume_point(entry.task)
                 try:
                     envelope = run_task(entry.task)
                 except Exception as exc:
-                    if not self._retry_or_fail(entry, exc, state):
-                        break  # permanent failure, partial mode
-                    continue
-                self._complete(entry, envelope, results, state)
+                    error = str(exc) or repr(exc)
+                    if self._retry_or_fail(
+                        entry, state, type(exc).__name__, error, cause=exc
+                    ):
+                        continue
+                    break  # permanent failure, partial mode
+                self._complete(entry, envelope, resume, state)
                 break
 
-    # -- pool path ---------------------------------------------------------
-    def _run_pool(
-        self,
-        pending: Sequence[_Pending],
-        results: List[Optional[Dict[str, Any]]],
-        state: _RunState,
-        workers: int,
+    # -- worker path -------------------------------------------------------
+    def _run_workers(
+        self, pending: Sequence[_Pending], state: _RunState, workers: int
     ) -> None:
-        timeout = self.config.task_timeout_s
-        # With a timeout, in-flight is capped at the worker count so
-        # every submitted task is actually running and its deadline is
-        # fair; without one, a small buffer keeps workers saturated.
-        limit = workers if timeout is not None else workers * 2
-        queue: List[_Pending] = list(pending)
-        inflight: Dict[Future, Tuple[_Pending, float]] = {}
-        pool: Optional[ProcessPoolExecutor] = _new_pool(workers)
-        rebuilds = 0
+        """Run ``pending`` on forked workers that claim one entry at a
+        time (:class:`~repro.runner.workers.WorkerPlane`), until none is
+        queued or leased.  Heartbeat silence is not judged: the workers
+        are our children, and one stopped with the sweep (^Z) is still
+        working once resumed."""
+        state.queue = list(pending)
+        plane = WorkerPlane(
+            min(workers, len(pending)),
+            functools.partial(self._local_call, state),
+            functools.partial(self._worker_lost, state),
+            ttl_s=None,
+            timeout_s=self.config.task_timeout_s,
+        )
         try:
-            while queue or inflight:
-                now = time.monotonic()
-                # Submit every ready entry, up to the in-flight limit.
-                broken = False
-                i = 0
-                while i < len(queue) and len(inflight) < limit:
-                    entry = queue[i]
-                    if entry.not_before > now:
-                        i += 1
-                        continue
-                    try:
-                        future = pool.submit(run_task, entry.task)
-                    except (BrokenExecutor, RuntimeError):
-                        broken = True
-                        break
-                    queue.pop(i)
-                    inflight[future] = (entry, now)
-                    self.trace.record(
-                        "started",
-                        task_index=entry.index,
-                        kind=entry.task.kind,
-                        attempt=entry.attempt,
-                        span_id=entry.span_id,
-                    )
-                if broken:
-                    pool, rebuilds = self._recover_pool(
-                        pool, inflight, queue, results, state, workers, rebuilds,
-                        kill=False,
-                    )
-                    if pool is None:
-                        self._degrade_serial(queue, results, state)
-                        return
-                    continue
+            while state.queue or state.leases:
+                plane.spawn()
+                plane.answer(IDLE_CLAIM_S)
+                plane.watch()
+        finally:
+            plane.stop()
 
-                if not inflight:
-                    # Everything is backing off; sleep to the earliest.
-                    wake = min(e.not_before for e in queue)
-                    time.sleep(max(0.0, wake - time.monotonic()))
-                    continue
-
-                finished, _ = wait(
-                    set(inflight),
-                    timeout=self._wait_timeout(inflight, queue, limit),
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in finished:
-                    entry, _submitted = inflight.pop(future)
-                    try:
-                        envelope = future.result()
-                    except BrokenExecutor:
-                        broken = True
-                        self._retry_or_fail(
-                            entry, _pool_died_error(), state, queue
-                        )
-                    except Exception as exc:
-                        self._retry_or_fail(entry, exc, state, queue)
-                    else:
-                        self._complete(entry, envelope, results, state)
-                if broken:
-                    pool, rebuilds = self._recover_pool(
-                        pool, inflight, queue, results, state, workers, rebuilds,
-                        kill=False,
-                    )
-                    if pool is None:
-                        self._degrade_serial(queue, results, state)
-                        return
-                    continue
-
-                if timeout is not None:
-                    overdue = [
-                        (future, entry)
-                        for future, (entry, submitted) in inflight.items()
-                        if time.monotonic() - submitted >= timeout
-                    ]
-                    if overdue:
-                        for future, entry in overdue:
-                            del inflight[future]
-                            self.counters.timeouts += 1
-                            self.trace.record(
-                                "timeout",
-                                task_index=entry.index,
-                                kind=entry.task.kind,
-                                attempt=entry.attempt,
-                                span_id=entry.span_id,
-                            )
-                            self._retry_or_fail(
-                                entry,
-                                TimeoutError(
-                                    f"task exceeded {timeout}s wall clock"
-                                ),
-                                state,
-                                queue,
-                                timed_out=True,
-                            )
-                        # A hung worker only dies with its pool.
-                        pool, rebuilds = self._recover_pool(
-                            pool, inflight, queue, results, state, workers, rebuilds,
-                            kill=True,
-                        )
-                        if pool is None:
-                            self._degrade_serial(queue, results, state)
-                            return
-        except BaseException:
-            self._shutdown_pool(pool, kill=True)
-            raise
-        else:
-            self._shutdown_pool(pool, kill=False)
-
-    def _wait_timeout(
+    def _local_call(
         self,
-        inflight: Dict[Future, Tuple[_Pending, float]],
-        queue: Sequence[_Pending],
-        limit: int,
-    ) -> Optional[float]:
-        """How long ``wait()`` may block before the loop must wake up."""
+        state: _RunState,
+        worker_id: str,
+        name: str,
+        task_id: Optional[int],
+        fields: Dict[str, Any],
+    ) -> Any:
+        """Answer one worker's ``claim``, ``heartbeat``, ``commit`` or
+        ``fail``; a task id is the entry's task index."""
+        if name == "claim":
+            return self._lease(state)
+        if name == "heartbeat":
+            return task_id in state.leases
+        lease = state.leases.pop(task_id, None)
+        if lease is None:
+            return "unknown"
+        entry, resume = lease
+        if name == "commit":
+            self._complete(entry, fields, resume, state)
+            return "committed"
+        cause = _WorkerTraceback(fields.get("traceback", ""))
+        if self._retry_or_fail(
+            entry, state, fields["error_type"], fields["error"], cause=cause
+        ):
+            state.queue.append(entry)
+        return "failed"
+
+    def _lease(self, state: _RunState) -> Optional[Dict[str, Any]]:
+        """The first queued entry whose backoff has elapsed, as a claim
+        answer; ``None`` when no entry is ready."""
         now = time.monotonic()
-        horizons = []
-        if self.config.task_timeout_s is not None:
-            earliest = min(submitted for _, submitted in inflight.values())
-            horizons.append(earliest + self.config.task_timeout_s - now)
-        if queue and len(inflight) < limit:
-            backoff_wake = min(e.not_before for e in queue)
-            if backoff_wake > now:
-                horizons.append(backoff_wake - now)
-        if not horizons:
+        for position, entry in enumerate(state.queue):
+            if entry.not_before <= now:
+                break
+        else:
             return None
-        return max(0.0, min(horizons))
+        del state.queue[position]
+        state.leases[entry.index] = (entry, resume_point(entry.task))
+        self.trace.record(
+            "started",
+            task_index=entry.index,
+            kind=entry.task.kind,
+            attempt=entry.attempt,
+            span_id=entry.span_id,
+        )
+        return {
+            "task_id": entry.index,
+            "task": entry.description,
+            "runtime": entry.task.runtime,
+        }
 
-    def _recover_pool(
+    def _worker_lost(
         self,
-        pool: Optional[ProcessPoolExecutor],
-        inflight: Dict[Future, Tuple[_Pending, float]],
-        queue: List[_Pending],
-        results: List[Optional[Dict[str, Any]]],
         state: _RunState,
-        workers: int,
-        rebuilds: int,
-        kill: bool,
-    ) -> Tuple[Optional[ProcessPoolExecutor], int]:
-        """Drain a broken/killed pool and rebuild it — or degrade.
-
-        Every task still in flight is resolved: completed futures keep
-        their results, broken ones go through the retry machinery.
-        Returns ``(new_pool, rebuilds)``; ``new_pool`` is ``None`` when
-        the rebuild budget is exhausted and the caller must degrade to
-        serial execution.
-        """
-        self._shutdown_pool(pool, kill=kill)
-        if inflight:
-            # Broken futures resolve ~immediately once the pool is
-            # down; the bounded wait is a safety net, not a sleep.
-            done, not_done = wait(set(inflight), timeout=5.0)
-            for future in done:
-                entry, _submitted = inflight.pop(future)
-                try:
-                    envelope = future.result()
-                except Exception as exc:
-                    self._retry_or_fail(entry, exc, state, queue)
-                else:
-                    # The task finished before its worker died.
-                    self._complete(entry, envelope, results, state)
-            for future in not_done:
-                entry, _submitted = inflight.pop(future)
-                # Unresolvable — requeue without consuming an attempt.
-                queue.append(entry)
-                self.trace.record(
-                    "requeued", task_index=entry.index, kind=entry.task.kind,
-                    attempt=entry.attempt, span_id=entry.span_id,
-                )
-        if rebuilds >= self.config.max_pool_rebuilds:
-            self.counters.degraded_serial += 1
-            self.trace.record(
-                "degrade_serial",
-                detail=f"after {rebuilds} rebuild(s)",
-            )
-            return None, rebuilds
-        rebuilds += 1
-        self.counters.pool_rebuilds += 1
-        self.trace.record("pool_rebuild", detail=f"rebuild #{rebuilds}")
-        return _new_pool(workers), rebuilds
-
-    def _degrade_serial(
-        self,
-        queue: List[_Pending],
-        results: List[Optional[Dict[str, Any]]],
-        state: _RunState,
+        worker_id: str,
+        task_id: Optional[int],
+        verdict: str,
+        error: str,
+        pid: Optional[int],
     ) -> None:
-        """Run every remaining point in-process, in task order."""
-        queue.sort(key=lambda entry: entry.index)
-        self._run_serial(queue, results, state)
+        """A worker is gone and will be replaced; the task it held, if
+        any, fails one attempt."""
+        self.counters.pool_rebuilds += 1
+        self.trace.record(
+            "pool_rebuild", detail=f"replacing {verdict} worker {worker_id}"
+        )
+        lease = state.leases.pop(task_id, None)
+        if lease is None:
+            return
+        entry = lease[0]
+        error_type = "WorkerDied" if verdict == "exited" else "Watchdog"
+        if verdict == "overrun":
+            self.counters.timeouts += 1
+            self.trace.record(
+                "timeout",
+                task_index=entry.index,
+                kind=entry.task.kind,
+                attempt=entry.attempt,
+                span_id=entry.span_id,
+            )
+            error_type = "TimeoutError"
+            error = f"task exceeded {self.config.task_timeout_s}s wall clock"
+        if self._retry_or_fail(
+            entry, state, error_type, error, timed_out=verdict == "overrun"
+        ):
+            state.queue.append(entry)
 
     # -- completion / failure handling -------------------------------------
     def _complete(
         self,
         entry: _Pending,
         envelope: Dict[str, Any],
-        results: List[Optional[Dict[str, Any]]],
+        resume: Optional[Tuple[int, float]],
         state: _RunState,
     ) -> None:
+        """Store one attempt's result; ``resume`` is the task's
+        :func:`resume_point` as the attempt started."""
         result = envelope["result"]
         if self.cache is not None:
-            self.cache.put(entry.key, result, entry.task.describe())
-        results[entry.index] = result
+            self.cache.put(entry.key, result, entry.description)
+        state.results[entry.index] = result
         state.executed += 1
         state.done += 1
-        checkpoint = envelope.get("checkpoint")
-        if checkpoint and checkpoint.get("resume_seq") is not None:
+        if resume is not None:
             # This attempt picked the simulation up mid-run instead of
             # recomputing from t=0 — the crash-recovery path working.
             self.trace.record(
@@ -826,10 +738,7 @@ class ExperimentRunner:
                 kind=entry.task.kind,
                 attempt=entry.attempt,
                 span_id=entry.span_id,
-                detail=(
-                    f"seq={checkpoint['resume_seq']} "
-                    f"sim_time_us={checkpoint['resume_sim_time_us']}"
-                ),
+                detail=f"seq={resume[0]} sim_time_us={resume[1]}",
             )
         if self.spans is not None:
             worker_spans = envelope.get("spans")
@@ -851,16 +760,19 @@ class ExperimentRunner:
     def _retry_or_fail(
         self,
         entry: _Pending,
-        exc: BaseException,
         state: _RunState,
-        queue: Optional[List[_Pending]] = None,
+        error_type: str,
+        error: str,
         timed_out: bool = False,
+        cause: Optional[BaseException] = None,
     ) -> bool:
         """Schedule a retry for ``entry`` or record its permanent failure.
 
-        Returns ``True`` when a retry was scheduled.  In ``"raise"``
-        mode a permanent failure raises :class:`RunnerTaskError`
-        immediately (counters are finalized by ``run()``'s ``finally``).
+        Returns ``True`` when a retry was scheduled (the caller requeues
+        the entry).  In ``"raise"`` mode a permanent failure raises
+        :class:`RunnerTaskError` immediately, from ``cause`` (the task's
+        exception, or its worker's traceback); ``run()``'s ``finally``
+        finalizes the counters.
         """
         if entry.attempt < self.config.retries:
             entry.attempt += 1
@@ -873,19 +785,17 @@ class ExperimentRunner:
                 task_index=entry.index,
                 kind=entry.task.kind,
                 attempt=entry.attempt,
-                error=repr(exc),
+                error=f"{error_type}: {error}",
                 span_id=entry.span_id,
             )
-            if queue is not None:
-                queue.append(entry)
             return True
         failure = TaskFailure(
             task_index=entry.index,
             kind=entry.task.kind,
             key=entry.key,
             attempts=entry.attempt + 1,
-            error_type=type(exc).__name__,
-            error=str(exc) or repr(exc),
+            error_type=error_type,
+            error=error,
             timed_out=timed_out,
             # Where a re-run would resume this point from, if anywhere.
             checkpoint=checkpoint_status(entry.task),
@@ -899,7 +809,7 @@ class ExperimentRunner:
             task_index=entry.index,
             kind=entry.task.kind,
             attempt=entry.attempt,
-            error=repr(exc),
+            error=f"{error_type}: {error}",
             span_id=entry.span_id,
         )
         self._progress(state.done, state.total)
@@ -909,32 +819,13 @@ class ExperimentRunner:
                 f"{failure.attempts} attempt(s): {failure.error_type}: "
                 f"{failure.error}",
                 failures=[failure],
-            ) from exc
+            ) from cause
         return False
 
     def _progress(self, done: int, total: int) -> None:
         self._write_metrics()
         if self.config.progress is not None:
             self.config.progress(done, total)
-
-    @staticmethod
-    def _shutdown_pool(
-        pool: Optional[ProcessPoolExecutor], kill: bool
-    ) -> None:
-        if pool is None:
-            return
-        if kill:
-            # A hung or crashed worker never drains the call queue;
-            # terminate the processes outright before shutdown.
-            processes = getattr(pool, "_processes", None) or {}
-            for process in list(processes.values()):
-                try:
-                    process.terminate()
-                except Exception:
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
-        else:
-            pool.shutdown(wait=True)
 
     # -- simulation conveniences ------------------------------------------
     def run_scenarios(
@@ -978,54 +869,6 @@ class ExperimentRunner:
                 [rehydrate_simulation(scenario, entry) for entry in chunk]
             )
         return grouped
-
-    def run_repetitions(
-        self,
-        scenario: ScenarioConfig,
-        root_seed: int = 1,
-        repetitions: int = 1,
-        point_index: int = 0,
-        record_winners: bool = False,
-    ) -> List[SimPointResult]:
-        """Repetitions of a single scenario at a fixed point index."""
-        payload = {
-            "scenario": scenario_to_jsonable(scenario),
-            "record_winners": record_winners,
-        }
-        tasks = [
-            Task(
-                kind=TaskKind.SIMULATE,
-                payload=payload,
-                seed=SeedSpec(
-                    root_seed=root_seed,
-                    point_index=point_index,
-                    repetition=rep,
-                ),
-            )
-            for rep in range(repetitions)
-        ]
-        raw = self.run(tasks)
-        require_complete(raw, self.failures)
-        return [rehydrate_simulation(scenario, entry) for entry in raw]
-
-
-#: How often a pool worker checks that its runner is still alive.
-_ORPHAN_CHECK_S = 0.5
-
-
-def _new_pool(workers: int) -> ProcessPoolExecutor:
-    """A worker pool whose workers exit once this process is gone."""
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=exit_when_orphaned,
-        initargs=(os.getpid(), _ORPHAN_CHECK_S),
-    )
-
-
-def _pool_died_error() -> RuntimeError:
-    return RuntimeError(
-        "worker process died abruptly (BrokenProcessPool)"
-    )
 
 
 def require_complete(

@@ -54,9 +54,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import threading
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from .. import faults
 from .seeding import SeedSpec, streams_for
@@ -71,6 +70,7 @@ __all__ = [
     "TaskKind",
     "checkpoint_status",
     "execute_task",
+    "resume_point",
     "run_task",
     "simulation_result_dict",
 ]
@@ -218,10 +218,7 @@ def _run_simulate_batch(
     as-jsonable).  Every point gets the same per-(point, station)
     streams a scalar ``simulate`` task would, so the returned
     ``points`` list holds dicts bit-identical to what ``simulate``
-    would produce for each.  Raises :class:`~repro.batch.kernel
-    .UnsupportedScenario` if any point falls outside the kernel's
-    support matrix — routing/fallback is the caller's job
-    (:class:`~repro.runner.batch.BatchRunner`).
+    would produce for each.
     """
     from ..batch.kernel import BatchSlotKernel
 
@@ -282,7 +279,13 @@ def _run_collision_test(
 ) -> Dict[str, Any]:
     obs = payload.get("obs")
     chaos = payload.get("chaos")
-    capture = None
+    test_args = dict(
+        duration_us=payload["duration_us"],
+        warmup_us=payload["warmup_us"],
+        seed=payload["seed"],
+        **payload.get("testbed_kwargs", {}),
+    )
+    chaos_report = capture = None
     checkpoint_dir = (runtime or {}).get("checkpoint_dir")
     if checkpoint_dir and obs is None:
         # Checkpointed execution: bit-identical to the plain/chaos
@@ -317,32 +320,17 @@ def _run_collision_test(
             outcome = checkpointed_collision_test(
                 payload["num_stations"],
                 store,
-                duration_us=payload["duration_us"],
-                warmup_us=payload["warmup_us"],
-                seed=payload["seed"],
                 checkpoint_every_us=(runtime or {}).get(
                     "checkpoint_every_us"
                 ),
                 plan=chaos,
-                **payload.get("testbed_kwargs", {}),
+                **test_args,
             )
         if chaos is not None:
             test, chaos_report = outcome
         else:
-            test, chaos_report = outcome, None
-        result = {
-            "num_stations": test.num_stations,
-            "duration_us": test.duration_us,
-            "per_station": [
-                [mac, int(acked), int(collided)]
-                for mac, acked, collided in test.per_station
-            ],
-            "goodput_mbps": test.goodput_mbps,
-        }
-        if chaos_report is not None:
-            result["chaos"] = chaos_report
-        return result
-    if chaos is not None:
+            test = outcome
+    elif chaos is not None:
         # Chaos plan in the payload → fault-injected test.  The plan
         # dict is part of Task.describe(), hence of the cache key, so
         # (scenario, plan, seed) triples are memoized bit-exactly and
@@ -350,49 +338,19 @@ def _run_collision_test(
         from ..chaos.experiment import chaos_collision_test
 
         test, chaos_report = chaos_collision_test(
-            payload["num_stations"],
-            chaos,
-            duration_us=payload["duration_us"],
-            warmup_us=payload["warmup_us"],
-            seed=payload["seed"],
-            obs=obs,
-            **payload.get("testbed_kwargs", {}),
+            payload["num_stations"], chaos, obs=obs, **test_args
         )
         capture = chaos_report.pop("capture", None)
-        result = {
-            "num_stations": test.num_stations,
-            "duration_us": test.duration_us,
-            "per_station": [
-                [mac, int(acked), int(collided)]
-                for mac, acked, collided in test.per_station
-            ],
-            "goodput_mbps": test.goodput_mbps,
-            "chaos": chaos_report,
-        }
-        if capture is not None:
-            result["obs"] = capture
-        return result
-    if obs is not None:
+    elif obs is not None:
         from ..obs.capture import observed_collision_test
 
         test, capture = observed_collision_test(
-            payload["num_stations"],
-            obs,
-            duration_us=payload["duration_us"],
-            warmup_us=payload["warmup_us"],
-            seed=payload["seed"],
-            **payload.get("testbed_kwargs", {}),
+            payload["num_stations"], obs, **test_args
         )
     else:
         from ..experiments.procedures import run_collision_test
 
-        test = run_collision_test(
-            payload["num_stations"],
-            duration_us=payload["duration_us"],
-            warmup_us=payload["warmup_us"],
-            seed=payload["seed"],
-            **payload.get("testbed_kwargs", {}),
-        )
+        test = run_collision_test(payload["num_stations"], **test_args)
     result = {
         "num_stations": test.num_stations,
         "duration_us": test.duration_us,
@@ -402,7 +360,9 @@ def _run_collision_test(
         ],
         "goodput_mbps": test.goodput_mbps,
     }
-    if obs is not None:
+    if chaos_report is not None:
+        result["chaos"] = chaos_report
+    if capture is not None:
         # The obs config is part of the cache key, so a cache hit
         # returns these paths without regenerating the files on disk.
         result["obs"] = capture
@@ -433,7 +393,7 @@ def checkpoint_status(task: Task) -> Optional[Dict[str, Any]]:
     small JSON-able summary: the store directory, how many valid
     snapshots it holds, and — when resumption is enabled and a valid
     snapshot exists — the seq/sim-time the next execution will resume
-    from.  Used by the runner for trace events and
+    from.  It reads every snapshot; the runner records it on
     :class:`~repro.runner.telemetry.TaskFailure` records.
     """
     runtime = task.runtime or {}
@@ -443,36 +403,30 @@ def checkpoint_status(task: Task) -> Optional[Dict[str, Any]]:
     from ..checkpoint import CheckpointStore
 
     rows = CheckpointStore(directory).entries()
-    valid = [row for row in rows if row["valid"]]
     info: Dict[str, Any] = {
         "dir": str(directory),
         "checkpoints": len(rows),
-        "valid_checkpoints": len(valid),
+        "valid_checkpoints": sum(row["valid"] for row in rows),
         "resume": bool(runtime.get("resume", True)),
     }
-    if valid and info["resume"]:
-        newest = valid[-1]
-        info["resume_seq"] = newest["seq"]
-        info["resume_sim_time_us"] = newest["header"]["sim_time_us"]
+    resume = resume_point(task)
+    if resume is not None:
+        info["resume_seq"], info["resume_sim_time_us"] = resume
     return info
 
 
-def exit_when_orphaned(parent_pid: int, interval_s: float) -> None:
-    """Start a daemon thread that ends this worker process within
-    ``interval_s`` of ``parent_pid`` ceasing to be its parent.
+def resume_point(task: Task) -> Optional[Tuple[int, float]]:
+    """``(seq, sim_time_us)`` of the snapshot the next execution of
+    ``task`` resumes from (the newest valid one, the only one read), or
+    ``None`` when it starts from t=0."""
+    runtime = task.runtime or {}
+    directory = runtime.get("checkpoint_dir")
+    if not directory or not runtime.get("resume", True):
+        return None
+    from ..checkpoint import CheckpointStore
 
-    Neither a pool worker nor a service worker may outlive the process
-    that started it: it would keep computing for nobody and hold that
-    process's stdout open.
-    """
-
-    def watch() -> None:
-        while True:
-            time.sleep(interval_s)
-            if os.getppid() != parent_pid:
-                os._exit(1)
-
-    threading.Thread(target=watch, name="orphan-check", daemon=True).start()
+    newest = CheckpointStore(directory).latest_valid()
+    return None if newest is None else (newest.seq, newest.sim_time_us)
 
 
 def _inject_faults(task: Task) -> None:
@@ -496,11 +450,8 @@ def run_task(task: Task) -> Dict[str, Any]:
     Wraps :func:`execute_task` in an envelope carrying the executing
     worker's pid and wall-clock duration for the telemetry layer, and
     first fires the ``task_*`` points of :mod:`repro.faults` (a no-op
-    unless ``REPRO_FAULT`` arms one).  For checkpointed
-    tasks the envelope also carries the pre-execution
-    :func:`checkpoint_status`, so the runner can trace whether this
-    attempt started fresh or resumed mid-simulation.  The runner caches
-    and returns only ``envelope["result"]``.
+    unless ``REPRO_FAULT`` arms one).  The runner caches and returns
+    only ``envelope["result"]``.
 
     When the task runtime carries a ``telemetry`` dict (attached by a
     span-enabled :class:`~repro.runner.runner.ExperimentRunner`), the
@@ -514,17 +465,13 @@ def run_task(task: Task) -> Dict[str, Any]:
     telemetry = (task.runtime or {}).get("telemetry")
     if telemetry is None:
         _inject_faults(task)
-        checkpoints = checkpoint_status(task)
         started = time.perf_counter()
         result = execute_task(task)
-        envelope = {
+        return {
             "result": result,
             "worker_pid": os.getpid(),
             "elapsed_s": time.perf_counter() - started,
         }
-        if checkpoints is not None:
-            envelope["checkpoint"] = checkpoints
-        return envelope
 
     from ..obs.recording import as_jsonable
     from ..telemetry.context import TelemetryContext, activate
@@ -545,19 +492,15 @@ def run_task(task: Task) -> Dict[str, Any]:
         context.span_id = attempt_id
         try:
             _inject_faults(task)
-            checkpoints = checkpoint_status(task)
             started = time.perf_counter()
             result = execute_task(task)
         except BaseException:
             recorder.end(attempt_id, status="error")
             raise
         recorder.end(attempt_id)
-    envelope = {
+    return {
         "result": result,
         "worker_pid": os.getpid(),
         "elapsed_s": time.perf_counter() - started,
         "spans": [as_jsonable(event) for event in recorder.events],
     }
-    if checkpoints is not None:
-        envelope["checkpoint"] = checkpoints
-    return envelope

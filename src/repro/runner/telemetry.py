@@ -3,8 +3,8 @@
 The runner emits one :class:`TaskEvent` per lifecycle transition of
 every task it schedules — ``queued``, ``cache_hit``, ``started``,
 ``retried``, ``timeout``, ``failed``, ``finished`` — plus run-level
-events (``run_start``, ``run_end``, ``pool_rebuild``,
-``degrade_serial``).  A :class:`TraceRecorder` collects them in order
+events (``run_start``, ``run_end``, and ``pool_rebuild`` for each
+worker replaced).  A :class:`TraceRecorder` collects them in order
 and can append them to a JSONL file (one event object per line), which
 is what ``repro-plc ... --trace FILE`` writes.
 

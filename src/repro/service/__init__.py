@@ -8,7 +8,9 @@ to an append-only, checksummed WAL before it takes effect
 (:mod:`~repro.service.journal`), work is claimed through heartbeated
 leases a watchdog can reclaim — local worker processes and remote
 hosts run one worker loop against one lease table
-(:mod:`~repro.service.orchestrator`) — poison tasks land in a
+(:mod:`~repro.service.orchestrator`), and the local ones are the same
+worker plane ``ExperimentRunner`` drives
+(:mod:`repro.runner.workers`) — poison tasks land in a
 forensics quarantine instead of wedging the sweep
 (:mod:`~repro.service.quarantine`), and SIGTERM drains cleanly
 (:mod:`~repro.service.signals`).  ``kill -9`` at any instant — proven
@@ -24,9 +26,9 @@ Entry points: :class:`Orchestrator` / :class:`ServiceConfig` (the
 
 The HTTP layer lives in :mod:`repro.service.net`: ``serve --http``
 front end, the fault-tolerant :class:`~repro.service.net.SweepClient`,
-and :func:`~repro.service.net.work_loop`, the worker loop that
-``work --connect`` hosts and the local workers share — imported lazily
-by its users, not re-exported here.
+and :func:`~repro.service.net.work_loop`, the worker loop
+``work --connect`` hosts run over HTTP — imported lazily by its users,
+not re-exported here.
 """
 
 from .journal import (
@@ -56,7 +58,7 @@ from .submit import (
     validate_submission,
     write_submission,
 )
-from .worker import task_from_description
+from ..runner.workers import task_from_description
 
 __all__ = [
     "JOURNAL_FILENAME",

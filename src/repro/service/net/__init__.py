@@ -18,12 +18,12 @@ the wire:
   :class:`~repro.runner.ExperimentRunner` execution when every host is
   unreachable — a structured ``degraded_local`` trace event, never a
   stack trace;
-- :mod:`~repro.service.net.worker` — the one worker loop,
-  :func:`work_loop`: claim a (point, rep) shard, heartbeat its lease,
-  commit the result.  ``repro-plc work --connect URL`` runs it over
-  HTTP (:class:`SweepClient` carries the claim / heartbeat / commit /
-  fail calls), the orchestrator's local workers over a pipe; results
-  commit cache.put-then-journal, so a partition between commit and ack
+- :mod:`~repro.service.net.worker` — :func:`work_loop`, the one
+  worker loop of :mod:`repro.runner.workers` over HTTP: ``repro-plc
+  work --connect URL`` claims a (point, rep) shard, heartbeats its
+  lease and commits the result, with :class:`SweepClient` carrying the
+  claim / heartbeat / commit / fail calls; results commit
+  cache.put-then-journal, so a partition between commit and ack
   converges on redelivery;
 - :mod:`~repro.service.net.wire` — the JSON wire helpers; the
   ``net_drop``, ``net_delay``, ``net_duplicate`` and ``net_partition``

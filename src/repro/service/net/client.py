@@ -39,6 +39,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from ...runner.backoff import FullJitterBackoff
 from ...runner.cache import cache_key
 from ...runner.tasks import Task
+from ...runner.workers import Unreachable
 from ..submit import build_submission, validate_submission
 from .wire import DEFAULT_TIMEOUT_S, NetRequestError, http_json
 
@@ -49,12 +50,8 @@ __all__ = [
 ]
 
 
-class AllHostsUnreachable(RuntimeError):
+class AllHostsUnreachable(Unreachable):
     """Every configured host failed every allowed retry pass."""
-
-    def __init__(self, message: str, last_error: Optional[Exception] = None):
-        super().__init__(message)
-        self.last_error = last_error
 
 
 class CircuitBreaker:

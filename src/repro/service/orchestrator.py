@@ -13,16 +13,18 @@ fail (:meth:`~Orchestrator.remote_claim`,
 :meth:`~Orchestrator.remote_heartbeat`,
 :meth:`~Orchestrator.remote_complete`,
 :meth:`~Orchestrator.remote_fail`) — by running
-:func:`~repro.service.net.worker.work_loop` over one of two carriers.
+:func:`~repro.runner.workers.work_loop` over one of two carriers.
 The ``max_workers`` local worker processes :meth:`Orchestrator.serve`
-starts use a ``multiprocessing`` pipe, which the loop answers while it
-waits between ticks; ``repro-plc work --connect`` hosts use HTTP
-(:mod:`repro.service.net`).  One lease table holds both kinds and one
-watchdog guards it.  They differ only in what a silent or dead lease
-costs: a local worker is this process's own child, so the orchestrator
-knows it died — it is killed if need be, its attempt is consumed and a
-fresh worker takes its place; a silent remote host may merely be
-partitioned, so its lease is reclaimed without consuming an attempt.
+starts are a :class:`~repro.runner.workers.WorkerPlane` — the same
+forked workers ``ExperimentRunner`` uses — whose pipes the loop
+answers while it waits between ticks; ``repro-plc work --connect``
+hosts use HTTP (:mod:`repro.service.net`).  One lease table holds both
+kinds.  They differ only in what a silent or dead lease costs: a local
+worker is this process's own child, so the plane knows it stopped
+working — it is killed if need be, its attempt is consumed and a fresh
+worker takes its place; a silent remote host may merely be
+partitioned, so the watchdog reclaims its lease without consuming an
+attempt.
 
 Crash-safety discipline (the tentpole invariant):
 
@@ -50,8 +52,6 @@ commits converge on the cache key.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
-import multiprocessing.connection
 import os
 import shutil
 import threading
@@ -62,6 +62,13 @@ from typing import Any, Dict, List, Optional, Union
 from .. import faults
 from ..runner.cache import ResultCache, cache_key, result_checksum
 from ..runner.telemetry import TraceRecorder
+from ..runner.workers import (
+    HEARTBEAT_S,
+    IDLE_CLAIM_S,
+    SILENCE_TTL_S,
+    LocalWorker,
+    WorkerPlane,
+)
 from ..telemetry.openmetrics import write_openmetrics
 from ..telemetry.spans import SpanRecorder
 from .journal import JOURNAL_FILENAME, JournalWriter, read_journal
@@ -82,7 +89,6 @@ from .submit import (
 
 __all__ = [
     "DRAIN_MARKER",
-    "LOCAL_STOP",
     "Orchestrator",
     "ServiceConfig",
     "ServicePaths",
@@ -95,14 +101,6 @@ DRAIN_MARKER = "DRAIN"
 
 #: Pid file of the running orchestrator (presence + live pid = serving).
 PID_FILENAME = "serve.pid"
-
-#: The answer to a local worker's claim once the orchestrator drains:
-#: leave the worker loop and exit.
-LOCAL_STOP = "stop"
-
-#: Seconds idle local workers get to take their stop and exit cleanly
-#: before they are killed.
-_STOP_GRACE_S = 5.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -177,10 +175,10 @@ class ServiceConfig:
     #: ``max_retries + 1`` attempts is poison, not unlucky.
     max_retries: int = 2
     #: Heartbeat silence tolerated before a lease is stale.
-    lease_ttl_s: float = 10.0
+    lease_ttl_s: float = SILENCE_TTL_S
     #: How often workers heartbeat their lease (and how often a local
     #: worker checks that its orchestrator is still alive).
-    heartbeat_interval_s: float = 1.0
+    heartbeat_interval_s: float = HEARTBEAT_S
     #: Hard per-attempt wall-clock limit (``None`` = unlimited).
     task_timeout_s: Optional[float] = None
     #: Admission control: a submission that would push pending+leased
@@ -188,7 +186,7 @@ class ServiceConfig:
     max_queue_depth: int = 10000
     #: Scheduling-loop poll period, and how often an idle local worker
     #: claims again.
-    poll_interval_s: float = 0.05
+    poll_interval_s: float = IDLE_CLAIM_S
     #: Checkpoint cadence for long simulate/collision points
     #: (``None`` = only the runner defaults).
     checkpoint_every_us: Optional[float] = None
@@ -220,16 +218,6 @@ class _Lease:
     span_id: Optional[str] = None
 
 
-@dataclasses.dataclass
-class _LocalWorker:
-    """One long-lived local worker process and this end of its pipe."""
-
-    worker_id: str
-    proc: multiprocessing.Process
-    #: ``None`` once the pipe reached EOF; the watchdog settles the exit.
-    conn: Optional[multiprocessing.connection.Connection]
-
-
 class Orchestrator:
     """Supervise one service directory.  See the module docstring."""
 
@@ -247,9 +235,18 @@ class Orchestrator:
         self.spans = SpanRecorder(run_id=self.trace.run_id)
         #: Every lease this incarnation granted, local or remote.
         self._leases: Dict[str, _Lease] = {}
-        #: The local worker processes, by worker id.
-        self._workers: Dict[str, _LocalWorker] = {}
-        self._spawned = 0
+        #: The local worker processes; the plane judges their leases.
+        self._plane = WorkerPlane(
+            config.max_workers,
+            self._local_call,
+            self._worker_lost,
+            timeout_s=config.task_timeout_s,
+            ttl_s=config.lease_ttl_s,
+            poll_s=config.poll_interval_s,
+            heartbeat_s=config.heartbeat_interval_s,
+        )
+        #: The live local workers, by worker id (the plane's own dict).
+        self._workers: Dict[str, LocalWorker] = self._plane.workers
         #: Serializes every state mutation between the scheduling loop
         #: and the HTTP handler threads.  The journal keeps exactly one
         #: *process* writer; within that process, this lock keeps one
@@ -362,7 +359,7 @@ class Orchestrator:
                     with self.lock:
                         self._scan_inbox()
                         self._watchdog()
-                        self._spawn_workers()
+                        self._plane.spawn()
                         idle = self.state.queue_depth == 0 and not list(
                             self.paths.inbox.glob("*.json")
                         )
@@ -374,15 +371,15 @@ class Orchestrator:
                             break
                     elif not idle:
                         idle_since = None
-                    self._answer_workers(cfg.poll_interval_s)
+                    self._plane.answer(cfg.poll_interval_s)
         finally:
             # Truthful shutdown telemetry even on an unexpected error:
             # workers stop, spans close, the trace flushes, the journal
             # records the stop — the restart path depends on none of
             # this, but the operator's status view does.
             self.draining = True
-            self._stop_workers()
             with self.lock:
+                self._plane.stop()
                 self._release_leases("drain" if drained else "shutdown")
                 self.state.incarnations.append(
                     self._append(
@@ -606,60 +603,6 @@ class Orchestrator:
 
     # -- local workers -----------------------------------------------------
 
-    def _spawn_workers(self) -> None:
-        """Keep ``max_workers`` local workers running (none while
-        draining)."""
-        if self.draining or len(self._workers) >= self.config.max_workers:
-            return
-        from .net.worker import run_local_worker
-
-        while len(self._workers) < self.config.max_workers:
-            self._spawned += 1
-            worker_id = f"local-{os.getpid()}-{self._spawned}"
-            ours, theirs = multiprocessing.Pipe()
-            proc = multiprocessing.Process(
-                target=run_local_worker,
-                args=(
-                    theirs,
-                    worker_id,
-                    os.getpid(),
-                    self.config.poll_interval_s,
-                    self.config.heartbeat_interval_s,
-                ),
-                name=f"service-worker-{self._spawned}",
-            )
-            proc.start()
-            theirs.close()
-            self._workers[worker_id] = _LocalWorker(worker_id, proc, ours)
-
-    def _answer_workers(self, timeout_s: float) -> None:
-        """Wait up to ``timeout_s`` for local workers' protocol calls and
-        answer the ones that arrive."""
-        ready = {
-            worker.conn: worker
-            for worker in self._workers.values()
-            if worker.conn is not None
-        }
-        if not ready:
-            time.sleep(timeout_s)
-            return
-        for conn in multiprocessing.connection.wait(list(ready), timeout_s):
-            worker = ready[conn]
-            try:
-                name, task_id, fields = conn.recv()
-            except (EOFError, OSError):
-                conn.close()
-                worker.conn = None
-                continue
-            with self.lock:
-                reply = self._local_call(
-                    worker.worker_id, name, task_id, fields
-                )
-            try:
-                conn.send(reply)
-            except OSError:
-                pass  # the worker died after asking; the watchdog knows
-
     def _local_call(
         self,
         worker_id: str,
@@ -680,8 +623,6 @@ class Orchestrator:
             return self.remote_complete(task_id, worker_id, **fields)
         if name == "fail":
             return self.remote_fail(task_id, worker_id, **fields)
-        if self.draining:
-            return LOCAL_STOP
         shard = self.remote_claim(worker_id)
         if shard is not None:
             runtime: Dict[str, Any] = {
@@ -701,44 +642,39 @@ class Orchestrator:
             shard["runtime"] = runtime
         return shard
 
-    def _stop_workers(self) -> None:
-        """Stop every local worker: none outlives its orchestrator.
-
-        With ``draining`` set, an idle worker is answered
-        :data:`LOCAL_STOP` at its next claim and leaves its loop
-        cleanly.  A worker still holding a lease is past the drain
-        window and is terminated; the caller releases its lease.
-        """
-        busy = {lease.worker_id for lease in self._leases.values()}
-        for worker in self._workers.values():
-            if worker.worker_id in busy:
-                worker.proc.terminate()
-        deadline = time.monotonic() + _STOP_GRACE_S
-        while time.monotonic() < deadline and any(
-            worker.conn is not None for worker in self._workers.values()
-        ):
-            self._answer_workers(self.config.poll_interval_s)
-        for worker in self._workers.values():
-            worker.proc.join(timeout=1.0)
-            if worker.proc.is_alive():
-                worker.proc.kill()
-                worker.proc.join(timeout=5.0)
-            if worker.conn is not None:
-                worker.conn.close()
-        with self.lock:
-            self._workers.clear()
+    def _worker_lost(
+        self,
+        worker_id: str,
+        task_id: Optional[str],
+        verdict: str,
+        error: str,
+        pid: Optional[int],
+    ) -> None:
+        """The plane removed a local worker: our own child, so we know
+        it stopped working, and the lease it held is one failed
+        attempt.  The next tick's spawn replaces it."""
+        lease = self._leases.get(task_id)
+        if lease is None or lease.worker_id != worker_id:
+            return
+        self._record_failure(
+            lease,
+            error=error,
+            error_type="WorkerDied" if verdict == "exited" else "Watchdog",
+            worker_pid=pid,
+        )
 
     # -- watchdog ----------------------------------------------------------
 
     def _watchdog(self) -> None:
-        """Settle leases gone silent or past ``task_timeout_s``, and
-        local workers that exited on their own."""
-        # Local heartbeats that queued up while the loop was busy (a
-        # long admission, a kill) count before silence is judged.
-        self._answer_workers(0.0)
+        """Settle local workers that exited, went silent or overran
+        (the plane), and remote leases gone silent or past
+        ``task_timeout_s``."""
+        self._plane.watch()
         cfg = self.config
         now = time.monotonic()
         for lease in list(self._leases.values()):
+            if lease.worker_id in self._workers:
+                continue
             silent_s = now - lease.last_beat_monotonic
             overrun = (
                 cfg.task_timeout_s is not None
@@ -747,21 +683,6 @@ class Orchestrator:
             if silent_s <= cfg.lease_ttl_s and not overrun:
                 continue
             verdict = "overrun" if overrun else "silent"
-            worker = self._workers.pop(lease.worker_id, None)
-            if worker is not None:
-                # Our own child: we know it stopped working, so the
-                # attempt counts.  Kill it; a fresh worker replaces it.
-                worker.proc.kill()
-                worker.proc.join(timeout=5.0)
-                if worker.conn is not None:
-                    worker.conn.close()
-                self._record_failure(
-                    lease,
-                    error=f"watchdog reclaim: {verdict} lease",
-                    error_type="Watchdog",
-                    worker_pid=worker.proc.pid,
-                )
-                continue
             # A silent remote host may be dead or merely partitioned;
             # heartbeat recency is the only truth across the wire.
             # Reclaim WITHOUT consuming a retry attempt: losing contact
@@ -776,23 +697,6 @@ class Orchestrator:
                 worker=lease.worker_id,
             )
             self._requeue(lease)
-        for worker in list(self._workers.values()):
-            if worker.proc.is_alive():
-                continue
-            # Exited on its own (crash, OOM kill, os._exit): a lease it
-            # held is one failed attempt.  Its pipe's EOF adds nothing.
-            del self._workers[worker.worker_id]
-            if worker.conn is not None:
-                worker.conn.close()
-            for lease in list(self._leases.values()):
-                if lease.worker_id == worker.worker_id:
-                    self._record_failure(
-                        lease,
-                        error="worker exited mid-task "
-                        f"(exitcode={worker.proc.exitcode})",
-                        error_type="WorkerDied",
-                        worker_pid=worker.proc.pid,
-                    )
 
     def _requeue(self, lease: _Lease) -> None:
         """Return a leased task to the queue without consuming an
@@ -1079,7 +983,7 @@ class Orchestrator:
                 self._watchdog()
                 if not self._leases:
                     break
-            self._answer_workers(self.config.poll_interval_s)
+            self._plane.answer(self.config.poll_interval_s)
 
     def _release_leases(self, reason: str) -> None:
         for lease in list(self._leases.values()):

@@ -65,7 +65,6 @@ class SweepStatus:
         self.run_ended = False
         self.kinds: Dict[str, KindStats] = {}
         self.pool_rebuilds = 0
-        self.degraded_serial = 0
         #: span_id -> span_start record, for spans not yet ended.
         self.open_spans: Dict[str, Dict[str, Any]] = {}
         self.spans_seen = 0
@@ -101,9 +100,6 @@ class SweepStatus:
         if event == "pool_rebuild":
             self.pool_rebuilds += 1
             return
-        if event == "degrade_serial":
-            self.degraded_serial += 1
-            return
         kind = self._kind(record.get("kind"))
         if event == "queued":
             kind.queued += 1
@@ -112,8 +108,6 @@ class SweepStatus:
         elif event == "started":
             kind.started += 1
         elif event == "retried":
-            kind.retried += 1
-        elif event == "requeued":
             kind.retried += 1
         elif event == "timeout":
             kind.timeouts += 1
@@ -214,7 +208,6 @@ class SweepStatus:
             },
             "rates": self.rates(),
             "pool_rebuilds": self.pool_rebuilds,
-            "degraded_serial": self.degraded_serial,
             "open_spans": len(self.open_spans),
             "chaos_episodes": [
                 {
@@ -259,11 +252,8 @@ def render_status(status: SweepStatus) -> str:
         "  cache-hit {cache_hit_rate:.0%}  retry {retry_rate:.0%}"
         "  timeout {timeout_rate:.0%}".format(**rates)
     )
-    if status.pool_rebuilds or status.degraded_serial:
-        lines.append(
-            f"  pool rebuilds {status.pool_rebuilds}"
-            f"  degraded-serial {status.degraded_serial}"
-        )
+    if status.pool_rebuilds:
+        lines.append(f"  pool rebuilds {status.pool_rebuilds}")
     for name, kind in sorted(status.kinds.items()):
         mean = (
             kind.duration_sum_s / kind.finished if kind.finished else 0.0

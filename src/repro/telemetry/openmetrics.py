@@ -48,7 +48,6 @@ _RUNNER_COUNTER_FIELDS = (
     "failed",
     "timeouts",
     "pool_rebuilds",
-    "degraded_serial",
     "degraded_local",
 )
 

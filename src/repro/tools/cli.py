@@ -214,8 +214,6 @@ def _print_runner_counters(runner) -> None:
             f" retried={c.retried} failed={c.failed} "
             f"timeouts={c.timeouts} pool_rebuilds={c.pool_rebuilds}"
         )
-    if c.degraded_serial:
-        line += f" degraded_serial={c.degraded_serial}"
     print(line)
 
 

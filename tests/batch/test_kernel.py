@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.batch import (
-    BatchSlotKernel,
-    UnsupportedScenario,
-    batch_simulate,
-    check_supported,
-    supports_scenario,
-)
+from repro.batch import BatchSlotKernel, batch_simulate
 from repro.core import ScenarioConfig, SlotSimulator
 from repro.core.config import CsmaConfig, StationConfig, TimingConfig
 from repro.engine import RandomStreams
@@ -88,8 +82,6 @@ def test_unsaturated_station_is_supported():
         ),
         sim_time_us=1e5,
     )
-    assert supports_scenario(scenario)
-    check_supported(scenario)  # must not raise
     assert batch_simulate([scenario])[0] == SlotSimulator(scenario).run()
 
 
@@ -97,20 +89,12 @@ def test_retry_limit_is_supported():
     scenario = ScenarioConfig.homogeneous(
         2, csma=CsmaConfig(retry_limit=5), sim_time_us=1e5
     )
-    assert supports_scenario(scenario)
-    check_supported(scenario)  # must not raise
     assert batch_simulate([scenario])[0] == SlotSimulator(scenario).run()
 
 
-def test_unsupported_scenario_stays_in_api():
-    """The gate type remains importable/raisable for future features."""
-    assert issubclass(UnsupportedScenario, ValueError)
-
-
 def test_saturated_default_is_supported():
-    assert supports_scenario(
-        ScenarioConfig.homogeneous(3, sim_time_us=1e5)
-    )
+    scenario = ScenarioConfig.homogeneous(3, sim_time_us=1e5)
+    assert batch_simulate([scenario])[0] == SlotSimulator(scenario).run()
 
 
 # -- constructor validation -------------------------------------------------

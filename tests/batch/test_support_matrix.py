@@ -1,12 +1,10 @@
-"""The support-matrix property: what the gate admits, the kernel runs.
+"""The support-matrix property: every scenario runs on the kernel.
 
-``check_supported`` / ``supports_scenario`` are the routing contract
-between :class:`~repro.runner.batch.BatchRunner` and the kernel: every
-scenario the gate admits must run on the kernel *bit-exactly* against
-``SlotSimulator`` — including the retry-limit and unsaturated-arrival
-families the gate admits since PR 7.  This suite locks the gate to the
-kernel's actual capabilities, so reopening (or re-narrowing) the
-matrix without updating the other side fails loudly.
+:class:`~repro.runner.batch.BatchRunner` sends every uncached point to
+the kernel, so every scenario ``ScenarioConfig`` can express must run
+there *bit-exactly* against ``SlotSimulator`` — including the
+retry-limit and unsaturated-arrival families.  This suite holds the
+kernel to that, so a scenario family it cannot run fails loudly.
 """
 
 from hypothesis import given, settings
@@ -17,7 +15,6 @@ from repro.batch import (
     compare_round_records,
     kernel_round_records,
     slotsim_round_records,
-    supports_scenario,
 )
 from repro.core import ScenarioConfig, SlotSimulator
 from repro.core.config import CsmaConfig, StationConfig
@@ -27,7 +24,7 @@ from repro.core.config import CsmaConfig, StationConfig
 def admitted_scenarios(draw):
     """Random scenarios drawn from the full ScenarioConfig space.
 
-    Spans every family the gate rules on: saturated/unsaturated
+    Spans every scenario family: saturated/unsaturated
     (homogeneous and mixed), finite/infinite retry limits,
     single/multi-stage schedules.
     """
@@ -71,11 +68,7 @@ def admitted_scenarios(draw):
 @settings(deadline=None, max_examples=30)
 @given(admitted_scenarios())
 def test_every_admitted_scenario_is_bit_exact(scenario):
-    """Gate admission implies per-round kernel/FSM bit-exactness."""
-    assert supports_scenario(scenario), (
-        "the gate rejected a scenario family this suite expects it to "
-        "admit — update the support matrix docs/tests together"
-    )
+    """Every scenario is per-round bit-exact between kernel and FSM."""
     scalar_records, _ = slotsim_round_records(scenario)
     batch_records, batch_results = kernel_round_records([scenario])
     assert compare_round_records(scalar_records, batch_records[0]) == []
@@ -91,7 +84,8 @@ def test_admitted_mixed_batches_match_standalone_runs(scenarios):
 
 
 def test_gate_admits_the_documented_matrix():
-    """The docs' support-matrix rows, as executable claims."""
+    """The docs' support-matrix rows, as executable claims: each runs
+    on the kernel bit-exactly against ``SlotSimulator``."""
     rows = [
         # saturated, 1901 defaults
         ScenarioConfig.homogeneous(3, sim_time_us=1e5),
@@ -122,4 +116,4 @@ def test_gate_admits_the_documented_matrix():
         ),
     ]
     for scenario in rows:
-        assert supports_scenario(scenario)
+        assert batch_simulate([scenario])[0] == SlotSimulator(scenario).run()

@@ -1,9 +1,9 @@
 """Crash-safe sweep resumption through the parallel runner.
 
-The end-to-end robustness story: a pool worker is killed abruptly
-(``os._exit`` — indistinguishable from SIGKILL to the pool) *between*
-checkpoints of a long point, the runner rebuilds the pool and retries,
-and the retried attempt resumes from the newest valid checkpoint
+The end-to-end robustness story: a worker is killed abruptly
+(``os._exit`` — indistinguishable from SIGKILL to the runner) *between*
+checkpoints of a long point, the runner replaces the worker and retries
+the point, and the retried attempt resumes from the newest valid checkpoint
 instead of recomputing from t=0 — with results bit-identical to a
 sweep that was never interrupted, for plain and chaos points alike.
 
@@ -80,7 +80,7 @@ def _reference(tasks):
 
 
 def _run_killed_sweep(tasks, tmp_path, monkeypatch, kill_seq, every_us):
-    """Run ``tasks`` in a pool whose workers die after checkpoint N."""
+    """Run ``tasks`` on workers that die after checkpoint N."""
     monkeypatch.setenv(
         "REPRO_FAULT", f"checkpoint_write:seq={kill_seq},times={len(tasks)}"
     )
@@ -88,7 +88,6 @@ def _run_killed_sweep(tasks, tmp_path, monkeypatch, kill_seq, every_us):
     runner = ExperimentRunner(
         max_workers=2,
         retries=3,
-        max_pool_rebuilds=6,
         checkpoint_dir=tmp_path / "ckpt",
         checkpoint_every_us=every_us,
     )
@@ -98,8 +97,8 @@ def _run_killed_sweep(tasks, tmp_path, monkeypatch, kill_seq, every_us):
 
 
 def _assert_crash_recovery_worked(runner, tmp_path):
-    # The kill fired (a dead worker breaks its pool), the pool was
-    # rebuilt, and at least one retried attempt resumed mid-simulation.
+    # The kill fired, the dead worker was replaced, and at least one
+    # retried attempt resumed mid-simulation.
     assert runner.counters.pool_rebuilds >= 1
     assert runner.counters.retried >= 1
     assert runner.trace.of_kind("checkpoint_resume")

@@ -7,15 +7,14 @@ reuses its exact ``SeedSpec``, so recovery must never change the
 numbers:
 
 - an ordinary task failure is retried with backoff (``task_raise``);
-- a worker killed without cleanup (``task_exit`` → BrokenProcessPool)
-  triggers a pool rebuild, or degradation to serial when the rebuild
-  budget is exhausted;
+- a worker killed without cleanup (``task_exit``) is replaced, and
+  only the task it held is charged an attempt;
 - a hung task (``task_hang``) is killed by the per-task timeout and
-  retried;
+  retried, and the tasks running beside it are not touched;
 - a task that keeps failing leaves a structured failure record in
   partial mode instead of aborting the sweep.
 
-And no pool worker outlives a runner killed mid-sweep.
+And no worker outlives a runner killed mid-sweep.
 """
 
 import json
@@ -23,7 +22,9 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
+import traceback
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,7 @@ import repro
 from repro import faults
 from repro.core.config import CsmaConfig, ScenarioConfig
 from repro.experiments.sweeps import sweep_configuration
+from repro.runner import runner as runner_module
 from repro.runner import (
     ExperimentRunner,
     RunnerConfig,
@@ -66,14 +68,14 @@ def _arm(monkeypatch, tmp_path, spec):
     return marker_dir
 
 
-def _simulate_task(num_stations=2):
+def _simulate_task(num_stations=2, sim_time_us=1e5, repetition=0):
     scenario = ScenarioConfig.homogeneous(
-        num_stations=num_stations, sim_time_us=1e5
+        num_stations=num_stations, sim_time_us=sim_time_us
     )
     return Task(
         kind=TaskKind.SIMULATE,
         payload={"scenario": scenario_to_jsonable(scenario)},
-        seed=SeedSpec(root_seed=1),
+        seed=SeedSpec(root_seed=1, repetition=repetition),
     )
 
 
@@ -130,22 +132,31 @@ class TestBrokenPoolRecovery:
         )
         assert _sweep(runner) == clean_serial
         assert runner.counters.pool_rebuilds >= 1
-        assert runner.counters.retried >= 1
+        assert runner.counters.retried == 1
         assert runner.counters.failed == 0
         assert runner.trace.of_kind("pool_rebuild")
 
-    def test_exhausted_rebuild_budget_degrades_to_serial(
-        self, monkeypatch, tmp_path, clean_serial
+    def test_dead_worker_charges_only_its_own_task(
+        self, monkeypatch, tmp_path
     ):
+        tasks = [_simulate_task(n) for n in (2, 3, 4, 5, 6, 7, 8, 9)]
+        expected = ExperimentRunner(max_workers=1).run(tasks)
         _arm(monkeypatch, tmp_path, "task_exit:times=1")
         runner = ExperimentRunner(
-            max_workers=2, retries=2, max_pool_rebuilds=0,
-            backoff_base_s=0.01,
+            max_workers=2, retries=0, on_failure="partial"
         )
-        assert _sweep(runner) == clean_serial
-        assert runner.counters.degraded_serial == 1
-        assert runner.counters.pool_rebuilds == 0
-        assert runner.trace.of_kind("degrade_serial")
+        results = runner.run(tasks)
+        (failure,) = runner.failures
+        assert failure.error_type == "WorkerDied"
+        assert "exitcode=117" in failure.error
+        assert runner.counters.pool_rebuilds == 1
+        assert results.count(None) == 1
+        assert [
+            got for i, got in enumerate(results) if i != failure.task_index
+        ] == [
+            want for i, want in enumerate(expected)
+            if i != failure.task_index
+        ]
 
 
 class TestTimeout:
@@ -175,6 +186,91 @@ class TestTimeout:
         assert len(runner.failures) == 1
         assert runner.failures[0].timed_out
         assert runner.failures[0].error_type == "TimeoutError"
+
+    def test_overrun_charges_only_its_own_task(self, monkeypatch, tmp_path):
+        # One task hangs; the others keep the second worker busy, so a
+        # task is running beside the hung one when its worker is killed.
+        _arm(monkeypatch, tmp_path, "task_hang:times=1,seconds=60")
+        tasks = [
+            _simulate_task(5, sim_time_us=3e7, repetition=rep)
+            for rep in range(10)
+        ]
+        runner = ExperimentRunner(
+            max_workers=2, retries=0, task_timeout_s=2.0,
+            on_failure="partial",
+        )
+        results = runner.run(tasks)
+        (failure,) = runner.failures
+        assert failure.timed_out
+        assert runner.counters.timeouts == 1
+        assert results.count(None) == 1
+
+    def test_lone_task_timeout_is_enforced(self, monkeypatch, tmp_path):
+        # A single uncached task with a timeout still runs on a worker:
+        # in-process, nothing could stop the hang.
+        _arm(monkeypatch, tmp_path, "task_hang:times=1,seconds=6")
+        runner = ExperimentRunner(
+            max_workers=2, retries=0, task_timeout_s=1.0,
+            on_failure="partial",
+        )
+        started = time.monotonic()
+        assert runner.run([_simulate_task(2)]) == [None]
+        assert time.monotonic() - started < 5.0
+        assert runner.counters.timeouts == 1
+        assert runner.failures[0].timed_out
+
+
+class TestStoppedWorkers:
+    def test_stopped_busy_workers_are_not_judged_silent(
+        self, monkeypatch, tmp_path
+    ):
+        # ^Z on a sweep stops its workers too; once resumed, a worker
+        # that sent no heartbeat while stopped is still working.  Any
+        # silence TTL the runner judges is cut to 1.5 s (above the 1 s
+        # heartbeat), and the busy workers are stopped for 3 s.
+        plane_class, planes = runner_module.WorkerPlane, []
+
+        def short_ttl_plane(*args, **kwargs):
+            if kwargs["ttl_s"] is not None:
+                kwargs["ttl_s"] = 1.5
+            planes.append(plane_class(*args, **kwargs))
+            return planes[-1]
+
+        tasks = [_simulate_task(2), _simulate_task(3)]
+        expected = ExperimentRunner(max_workers=1).run(tasks)
+        marker_dir = _arm(
+            monkeypatch, tmp_path, "task_hang:times=2,seconds=5"
+        )
+        monkeypatch.setattr(runner_module, "WorkerPlane", short_ttl_plane)
+
+        frozen = []
+
+        def freeze():
+            deadline = time.monotonic() + 30
+            # Both slots claimed: both workers are inside their hang.
+            while len(list(marker_dir.glob("slot-*"))) < 2:
+                if time.monotonic() > deadline:
+                    return
+                time.sleep(0.02)
+            frozen.extend(w.proc.pid for w in planes[0].workers.values())
+            for pid in frozen:
+                os.kill(pid, signal.SIGSTOP)
+            time.sleep(3.0)
+            for pid in frozen:
+                os.kill(pid, signal.SIGCONT)
+
+        freezer = threading.Thread(target=freeze)
+        freezer.start()
+        runner = ExperimentRunner(max_workers=2, retries=0)
+        try:
+            results = runner.run(tasks)
+        finally:
+            freezer.join(timeout=30)
+        assert not freezer.is_alive()
+        assert len(frozen) == 2
+        assert results == expected
+        assert runner.counters.pool_rebuilds == 0
+        assert runner.counters.retried == runner.counters.failed == 0
 
 
 def _exited(pid):
@@ -271,6 +367,27 @@ class TestPartialResults:
         assert runner.counters.wall_time_s > 0
 
 
+class TestFailureCause:
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_error_chains_where_the_task_failed(self, max_workers):
+        runner = ExperimentRunner(max_workers=max_workers, retries=0)
+        bad = TestPartialResults.BAD
+        with pytest.raises(RunnerTaskError) as excinfo:
+            runner.run([bad, _simulate_task()])
+        cause = excinfo.value.__cause__
+        assert cause is not None
+        if max_workers == 1:
+            # The task's own exception, with its frames.
+            assert isinstance(cause, ValueError)
+            text = "".join(traceback.format_exception(cause))
+        else:
+            # The worker's traceback text.
+            text = str(cause)
+        assert "Traceback (most recent call last)" in text
+        assert "in execute_task" in text
+        assert "ValueError: unknown task kind 'no-such-kind'" in text
+
+
 class TestTelemetry:
     def test_jsonl_trace_records_lifecycle(
         self, monkeypatch, tmp_path, clean_serial
@@ -315,7 +432,7 @@ class TestConfigValidation:
             {"task_timeout_s": -5.0},
             {"backoff_base_s": -0.1},
             {"on_failure": "explode"},
-            {"max_pool_rebuilds": -1},
+            {"backoff_max_s": -0.1},
         ],
     )
     def test_bad_config_fails_at_construction(self, kwargs):

@@ -22,9 +22,10 @@ from repro.service.net import (
     SweepClient,
     serve_http,
 )
+from repro.runner import workers as worker_module
+from repro.runner.workers import PipeClient
 from repro.service.net import client as client_module
-from repro.service.net import worker as worker_module
-from repro.service.net.worker import PipeClient, work_loop
+from repro.service.net.worker import work_loop
 from repro.service.submit import build_submission
 
 SIM_TIME_US = 1e5

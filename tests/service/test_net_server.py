@@ -246,7 +246,7 @@ class TestRemoteExecution:
         )
         assert status == 200 and shard["task_id"]
         from repro.runner.tasks import run_task
-        from repro.service.worker import task_from_description
+        from repro.runner.workers import task_from_description
 
         envelope = run_task(task_from_description(shard["task"]))
         body = {"worker_id": "w1", "result": envelope["result"]}

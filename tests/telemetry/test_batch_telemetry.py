@@ -10,7 +10,6 @@ import json
 
 from repro.core import ScenarioConfig
 from repro.runner import BatchRunner
-import repro.runner.batch as batch_module
 from repro.telemetry.openmetrics import validate_openmetrics
 
 SIM_TIME_US = 1e5
@@ -28,18 +27,10 @@ def _read_jsonl(path):
         return [json.loads(line) for line in handle if line.strip()]
 
 
-def test_batch_run_emits_correlated_telemetry(tmp_path, monkeypatch):
-    # The kernel currently admits every scenario, so force the last
-    # point onto the scalar fallback to cover its span too.
+def test_batch_run_emits_correlated_telemetry(tmp_path):
     scenarios = _scenarios() + [
         ScenarioConfig.homogeneous(4, sim_time_us=SIM_TIME_US)
     ]
-    fallback = scenarios[-1]
-    monkeypatch.setattr(
-        batch_module,
-        "supports_scenario",
-        lambda scenario: scenario != fallback,
-    )
     tel = tmp_path / "tel"
     runner = BatchRunner(telemetry_dir=tel)
     runner.run_scenarios(scenarios, root_seed=3)
@@ -63,7 +54,6 @@ def test_batch_run_emits_correlated_telemetry(tmp_path, monkeypatch):
     names = {r["name"] for r in spans if r["event"] == "span_start"}
     assert "batch_sweep" in names
     assert "batch_chunk" in names
-    assert "scalar_fallback" in names  # the unsupported point
     started = {r["span_id"] for r in spans if r["event"] == "span_start"}
     ended = {r["span_id"] for r in spans if r["event"] == "span_end"}
     assert started == ended

@@ -38,6 +38,7 @@ MODULES = [
     "repro.phy",
     "repro.report",
     "repro.runner",
+    "repro.runner.workers",
     "repro.service",
     "repro.service.journal",
     "repro.service.orchestrator",
@@ -46,7 +47,6 @@ MODULES = [
     "repro.service.state",
     "repro.service.status",
     "repro.service.submit",
-    "repro.service.worker",
     "repro.tools",
     "repro.traffic",
 ]
