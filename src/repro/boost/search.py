@@ -104,11 +104,9 @@ def search(
         Task(
             kind=TaskKind.MODEL_CURVE,
             payload={
-                "family": "1901",
                 "csma": csma_to_jsonable(config),
                 "timing": timing_to_jsonable(timing),
                 "station_counts": counts,
-                "method": "recursive",
             },
         )
         for config in configs

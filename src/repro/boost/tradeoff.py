@@ -81,11 +81,9 @@ def _model_curves(
         Task(
             kind=TaskKind.MODEL_CURVE,
             payload={
-                "family": "1901",
                 "csma": csma_to_jsonable(config),
                 "timing": timing_to_jsonable(timing),
                 "station_counts": counts,
-                "method": "recursive",
             },
         )
         for _label, config in labeled

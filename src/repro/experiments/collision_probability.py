@@ -21,17 +21,16 @@ import dataclasses
 from typing import List, Optional, Sequence
 
 from ..analysis.model import Model1901
-from ..core.config import CsmaConfig, ScenarioConfig, TimingConfig
+from ..core.config import CsmaConfig, TimingConfig
 from ..core.results import aggregate
 from ..runner import ExperimentRunner, Task, TaskKind, require_complete
 from ..runner.runner import rehydrate_simulation
-from ..runner.seeding import SeedSpec
-from ..runner.serialize import scenario_to_jsonable
 from .procedures import (
     DEFAULT_WARMUP_US,
     CollisionTest,
     CollisionTestSeries,
 )
+from .sweeps import configuration_tasks
 
 __all__ = ["Figure2Point", "figure2_data", "Table2Row", "table2_data"]
 
@@ -57,7 +56,6 @@ def _collision_test_task(
             "duration_us": duration_us,
             "warmup_us": DEFAULT_WARMUP_US,
             "seed": seed,
-            "testbed_kwargs": {},
         },
     )
 
@@ -101,25 +99,12 @@ def figure2_data(
         for n in counts
         for rep in range(test_repetitions)
     ]
-    scenarios = [
-        ScenarioConfig.homogeneous(
-            num_stations=n,
-            csma=config,
-            timing=timing,
-            sim_time_us=sim_time_us,
-            seed=seed,
-        )
-        for n in counts
-    ]
-    sim_tasks = [
-        Task(
-            kind=TaskKind.SIMULATE,
-            payload={"scenario": scenario_to_jsonable(scenario)},
-            seed=SeedSpec(root_seed=seed, point_index=i, repetition=rep),
-        )
-        for i, scenario in enumerate(scenarios)
-        for rep in range(sim_repetitions)
-    ]
+    # The sweep builder's tasks minus its model curve: ``model`` above
+    # solves the curve in-process.
+    scenarios, sweep_tasks = configuration_tasks(
+        config, counts, timing, sim_time_us, sim_repetitions, seed
+    )
+    sim_tasks = sweep_tasks[1:]
 
     raw = runner.run(test_tasks + sim_tasks)
     require_complete(raw, runner.failures)

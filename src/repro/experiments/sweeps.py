@@ -39,7 +39,13 @@ from ..runner.serialize import (
     timing_to_jsonable,
 )
 
-__all__ = ["SweepPoint", "sweep_configuration", "standard_protocol_sweep"]
+__all__ = [
+    "SweepPoint",
+    "configuration_tasks",
+    "protocol_configs",
+    "standard_protocol_sweep",
+    "sweep_configuration",
+]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,38 +60,45 @@ class SweepPoint:
     model_collision_probability: float
 
 
-def sweep_configuration(
-    label: str,
+def protocol_configs(
+    extra: Optional[Dict[str, CsmaConfig]] = None,
+) -> List[Tuple[str, CsmaConfig]]:
+    """The X1/X6 configurations, labelled: 1901 CA1, 1901 CA3, 802.11
+    DCF, then ``extra`` in its order."""
+    configs = [
+        ("1901 CA1", CsmaConfig.for_priority(PriorityClass.CA1)),
+        ("1901 CA3", CsmaConfig.for_priority(PriorityClass.CA3)),
+        ("802.11 DCF", CsmaConfig.ieee80211()),
+    ]
+    return configs + list((extra or {}).items())
+
+
+def configuration_tasks(
     config: CsmaConfig,
     station_counts: Sequence[int],
     timing: Optional[TimingConfig] = None,
     sim_time_us: float = 2e7,
     repetitions: int = 3,
     seed: int = 1,
-    runner: Optional[ExperimentRunner] = None,
-) -> List[SweepPoint]:
-    """One configuration across network sizes.
+) -> Tuple[List[ScenarioConfig], List[Task]]:
+    """One configuration's sweep as tasks: the analytical curve first,
+    then every ``(point, repetition)`` simulation, point-major.
 
-    All ``len(station_counts) * repetitions`` simulation points plus
-    the analytical curve are submitted to ``runner`` as one batch, so
-    with ``max_workers > 1`` they execute concurrently.
+    The one builder behind :func:`sweep_configuration` and
+    :func:`repro.service.submit.standard_sweep_tasks`.  Returns the
+    scenarios (one per station count) alongside the tasks.
     """
     timing = timing if timing is not None else TimingConfig()
-    runner = runner if runner is not None else ExperimentRunner()
     counts = [int(n) for n in station_counts]
-
-    family = "80211" if config.protocol == "80211" else "1901"
     model_task = Task(
         kind=TaskKind.MODEL_CURVE,
         payload={
-            "family": family,
+            "family": "80211" if config.protocol == "80211" else "1901",
             "csma": csma_to_jsonable(config),
             "timing": timing_to_jsonable(timing),
             "station_counts": counts,
-            "method": "recursive",
         },
     )
-
     scenarios = [
         ScenarioConfig.homogeneous(
             num_stations=n,
@@ -105,24 +118,46 @@ def sweep_configuration(
         for i, scenario in enumerate(scenarios)
         for rep in range(repetitions)
     ]
+    return scenarios, [model_task] + sim_tasks
 
-    raw = runner.run([model_task] + sim_tasks)
+
+def sweep_configuration(
+    label: str,
+    config: CsmaConfig,
+    station_counts: Sequence[int],
+    timing: Optional[TimingConfig] = None,
+    sim_time_us: float = 2e7,
+    repetitions: int = 3,
+    seed: int = 1,
+    runner: Optional[ExperimentRunner] = None,
+) -> List[SweepPoint]:
+    """One configuration across network sizes.
+
+    All ``len(station_counts) * repetitions`` simulation points plus
+    the analytical curve are submitted to ``runner`` as one batch, so
+    with ``max_workers > 1`` they execute concurrently.
+    """
+    runner = runner if runner is not None else ExperimentRunner()
+    scenarios, tasks = configuration_tasks(
+        config, station_counts, timing, sim_time_us, repetitions, seed
+    )
+    raw = runner.run(tasks)
     require_complete(raw, runner.failures)
     model_points = raw[0]["points"]
     sim_entries = raw[1:]
 
     points = []
-    for i, n in enumerate(counts):
+    for i, scenario in enumerate(scenarios):
         prediction = model_points[i]
         runs = [
-            rehydrate_simulation(scenarios[i], entry).result
+            rehydrate_simulation(scenario, entry).result
             for entry in sim_entries[i * repetitions : (i + 1) * repetitions]
         ]
         agg = aggregate(runs)
         points.append(
             SweepPoint(
                 label=label,
-                num_stations=n,
+                num_stations=scenario.num_stations,
                 sim_throughput=agg.normalized_throughput,
                 sim_collision_probability=agg.collision_probability,
                 model_throughput=prediction["normalized_throughput"],
@@ -149,13 +184,6 @@ def standard_protocol_sweep(
     numbers), which pairs the protocol comparison at each N.
     """
     runner = runner if runner is not None else ExperimentRunner()
-    configs: List[Tuple[str, CsmaConfig]] = [
-        ("1901 CA1", CsmaConfig.for_priority(PriorityClass.CA1)),
-        ("1901 CA3", CsmaConfig.for_priority(PriorityClass.CA3)),
-        ("802.11 DCF", CsmaConfig.ieee80211()),
-    ]
-    if extra:
-        configs.extend(extra.items())
     return {
         label: sweep_configuration(
             label,
@@ -167,5 +195,5 @@ def standard_protocol_sweep(
             seed=seed,
             runner=runner,
         )
-        for label, config in configs
+        for label, config in protocol_configs(extra)
     }

@@ -332,9 +332,6 @@ class BatchRunner:
     def _scalar_task(point: Dict[str, Any]) -> Task:
         return Task(
             kind=TaskKind.SIMULATE,
-            payload={
-                "scenario": point["scenario"],
-                "record_winners": False,
-            },
+            payload={"scenario": point["scenario"]},
             seed=point["seed"],
         )

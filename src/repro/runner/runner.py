@@ -17,7 +17,7 @@ order*, regardless of completion order, worker count or cache state:
 Determinism: each task's random draws are fully specified by its
 :class:`~repro.runner.seeding.SeedSpec`, so steps 2–4 cannot change the
 numbers — only how fast they arrive.  The determinism contract is
-enforced by ``tests/runner/test_determinism.py``.
+enforced by ``tests/integration/test_conformance.py``.
 
 Fault tolerance (``tests/runner/test_faults.py``): a failing task is
 retried up to ``retries`` times with capped exponential backoff — and
@@ -844,10 +844,9 @@ class ExperimentRunner:
         """
         tasks = []
         for i, scenario in enumerate(scenarios):
-            payload = {
-                "scenario": scenario_to_jsonable(scenario),
-                "record_winners": record_winners,
-            }
+            payload = {"scenario": scenario_to_jsonable(scenario)}
+            if record_winners:
+                payload["record_winners"] = True
             for rep in range(repetitions):
                 tasks.append(
                     Task(

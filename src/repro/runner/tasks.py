@@ -48,10 +48,16 @@ Task kinds
     injection ledger and checker summary come back under
     ``result["chaos"]``.  Both dicts ride in the payload and therefore
     in the cache key.
+
+One computation has one identity: :data:`PAYLOAD_DEFAULTS` declares
+each kind's payload defaults once, and a :class:`Task` fills the ones
+its payload leaves out, so every builder of a point hashes the same
+description and every executor reads a complete payload.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import os
 import time
@@ -66,6 +72,7 @@ from .serialize import (
 )
 
 __all__ = [
+    "PAYLOAD_DEFAULTS",
     "Task",
     "TaskKind",
     "checkpoint_status",
@@ -73,6 +80,7 @@ __all__ = [
     "resume_point",
     "run_task",
     "simulation_result_dict",
+    "task_from_description",
 ]
 
 
@@ -83,6 +91,19 @@ class TaskKind:
     SIMULATE_BATCH = "simulate_batch"
     MODEL_CURVE = "model_curve"
     COLLISION_TEST = "collision_test"
+
+
+#: Each kind's payload defaults, the only place they are spelled.  A
+#: :class:`Task` fills every key its payload leaves out (the fill rule:
+#: a description that spells a default and one that omits it are the
+#: same computation, with the same cache key).  ``collision_test``'s
+#: optional ``obs`` and ``chaos`` dicts have no default: absent when
+#: unset.
+PAYLOAD_DEFAULTS: Dict[str, Dict[str, Any]] = {
+    TaskKind.SIMULATE: {"record_winners": False},
+    TaskKind.MODEL_CURVE: {"family": "1901", "method": "recursive"},
+    TaskKind.COLLISION_TEST: {"testbed_kwargs": {}},
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,18 +123,48 @@ class Task:
         default=None, compare=False
     )
 
-    def describe(self) -> Dict[str, Any]:
-        """The JSON-able description hashed into the cache key.
+    def __post_init__(self) -> None:
+        # The kind's defaults go after the given keys.  A payload that
+        # is not a mapping raises here, so admission rejects it.
+        payload = dict(self.payload)
+        for key, value in PAYLOAD_DEFAULTS.get(self.kind, {}).items():
+            payload.setdefault(key, copy.deepcopy(value))
+        object.__setattr__(self, "payload", payload)
 
-        ``runtime`` is intentionally absent: it only controls *how*
-        the point executes (snapshot cadence, crash resumption), never
-        what numbers come out.
+    def describe(self) -> Dict[str, Any]:
+        """The canonical JSON-able description hashed into the cache key.
+
+        The payload holds every default of :data:`PAYLOAD_DEFAULTS`.
+        ``runtime`` is intentionally absent: it only controls *how* the
+        point executes (snapshot cadence, crash resumption), never what
+        numbers come out.
         """
         return {
             "kind": self.kind,
             "payload": self.payload,
             "seed": self.seed.as_jsonable() if self.seed else None,
         }
+
+
+def task_from_description(
+    description: Dict[str, Any],
+    runtime: Optional[Dict[str, Any]] = None,
+) -> Task:
+    """Rebuild a :class:`Task` from its ``describe()`` dict.
+
+    The inverse of :meth:`Task.describe` — what a claim carries to a
+    worker, what admission canonicalizes a submitted description
+    through, and what lets a restarted orchestrator reconstruct its
+    whole queue from the journal alone, with cache keys (and therefore
+    result identity) unchanged.
+    """
+    seed = description.get("seed")
+    return Task(
+        kind=description["kind"],
+        payload=description["payload"],
+        seed=SeedSpec.from_jsonable(seed) if seed else None,
+        runtime=runtime,
+    )
 
 
 def simulation_result_dict(result) -> Dict[str, Any]:
@@ -152,7 +203,7 @@ def _run_simulate(
     from ..core.simulator import SlotSimulator
 
     scenario = scenario_from_jsonable(payload["scenario"])
-    record_winners = bool(payload.get("record_winners", False))
+    record_winners = bool(payload["record_winners"])
     checkpoint_dir = (runtime or {}).get("checkpoint_dir")
     if checkpoint_dir:
         from ..checkpoint import (
@@ -252,12 +303,10 @@ def _run_model_curve(
 
     config = csma_from_jsonable(payload["csma"])
     timing = timing_from_jsonable(payload["timing"])
-    if payload.get("family", "1901") == "80211":
+    if payload["family"] == "80211":
         model = Bianchi80211Model.from_config(config, timing)
     else:
-        model = Model1901(
-            config, timing, method=payload.get("method", "recursive")
-        )
+        model = Model1901(config, timing, method=payload["method"])
     points = []
     for n in payload["station_counts"]:
         prediction = model.solve(n)
@@ -283,7 +332,7 @@ def _run_collision_test(
         duration_us=payload["duration_us"],
         warmup_us=payload["warmup_us"],
         seed=payload["seed"],
-        **payload.get("testbed_kwargs", {}),
+        **payload["testbed_kwargs"],
     )
     chaos_report = capture = None
     checkpoint_dir = (runtime or {}).get("checkpoint_dir")

@@ -56,8 +56,7 @@ import time
 import traceback
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from .seeding import SeedSpec
-from .tasks import Task, run_task
+from .tasks import run_task, task_from_description
 
 __all__ = [
     "HEARTBEAT_S",
@@ -94,26 +93,6 @@ class Unreachable(RuntimeError):
     ):
         super().__init__(message)
         self.last_error = last_error
-
-
-def task_from_description(
-    description: Dict[str, Any],
-    runtime: Optional[Dict[str, Any]] = None,
-) -> Task:
-    """Rebuild a :class:`Task` from its ``describe()`` dict.
-
-    The inverse of :meth:`Task.describe` — what a claim carries to a
-    worker, and what lets a restarted orchestrator reconstruct its
-    whole queue from the journal alone, with cache keys (and therefore
-    result identity) unchanged.
-    """
-    seed = description.get("seed")
-    return Task(
-        kind=description["kind"],
-        payload=description["payload"],
-        seed=SeedSpec.from_jsonable(seed) if seed else None,
-        runtime=runtime,
-    )
 
 
 def _heartbeat(client, task_id, worker_id, interval_s, stop, lost) -> None:

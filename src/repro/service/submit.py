@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 from ..checkpoint.integrity import atomic_write_text, sha256_hex
 from ..runner.cache import ResultCache, cache_key
 from ..runner.serialize import canonical_json
-from ..runner.tasks import Task
+from ..runner.tasks import Task, task_from_description
 
 __all__ = [
     "INBOX_DIRNAME",
@@ -86,25 +86,30 @@ def write_submission(
 
 
 def validate_submission(submission: Any) -> Optional[Dict[str, Any]]:
-    """Validate a parsed submission document; ``None`` when malformed.
+    """Validate and canonicalize a parsed submission document; ``None``
+    when malformed.
 
-    Shared by the inbox scan (:func:`read_submission`) and the HTTP
-    front end (``POST /v1/sweeps``) so both input channels accept
-    exactly the same shape.
+    Every task description must rebuild into a :class:`Task`; the
+    returned document carries each one's canonical ``describe()`` (its
+    payload defaults filled), so a hand-written description and a
+    built one of the same computation get one task id.  Shared by the
+    inbox scan (:func:`read_submission`) and the HTTP front end
+    (``POST /v1/sweeps``) so both input channels accept exactly the
+    same shape.
     """
     if not isinstance(submission, dict):
         return None
     tasks = submission.get("tasks")
     if not isinstance(tasks, list) or not tasks:
         return None
-    for description in tasks:
-        if (
-            not isinstance(description, dict)
-            or "kind" not in description
-            or "payload" not in description
-        ):
-            return None
-    return submission
+    try:
+        canonical = [
+            task_from_description(description).describe()
+            for description in tasks
+        ]
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return None
+    return {**submission, "tasks": canonical}
 
 
 def read_submission(
@@ -143,62 +148,22 @@ def standard_sweep_tasks(
 ) -> List[Task]:
     """The standard protocol sweep as submittable tasks.
 
-    Exactly the task set :func:`repro.experiments.sweeps
-    .standard_protocol_sweep` would run — same configurations, same
-    scenario construction, same :class:`~repro.runner.seeding.SeedSpec`
-    derivation — so service-computed points share cache keys (and bits)
-    with the in-process ``sweep`` command.
+    Exactly the tasks :func:`repro.experiments.sweeps
+    .standard_protocol_sweep` runs, in its order and from its builder
+    (:func:`~repro.experiments.sweeps.configuration_tasks`), so
+    service-computed points share cache keys (and bits) with the
+    in-process ``sweep`` command.
     """
-    from ..core.config import CsmaConfig, ScenarioConfig, TimingConfig
-    from ..core.parameters import PriorityClass
-    from ..runner import TaskKind
-    from ..runner.seeding import SeedSpec
-    from ..runner.serialize import (
-        csma_to_jsonable,
-        scenario_to_jsonable,
-        timing_to_jsonable,
-    )
+    from ..experiments.sweeps import configuration_tasks, protocol_configs
 
-    timing = TimingConfig()
-    counts = [int(n) for n in station_counts]
-    configs = [
-        ("1901 CA1", CsmaConfig.for_priority(PriorityClass.CA1)),
-        ("1901 CA3", CsmaConfig.for_priority(PriorityClass.CA3)),
-        ("802.11 DCF", CsmaConfig.ieee80211()),
+    return [
+        task
+        for _label, config in protocol_configs()
+        for task in configuration_tasks(
+            config,
+            station_counts,
+            sim_time_us=sim_time_us,
+            repetitions=repetitions,
+            seed=seed,
+        )[1]
     ]
-    tasks: List[Task] = []
-    for _label, config in configs:
-        family = "80211" if config.protocol == "80211" else "1901"
-        tasks.append(
-            Task(
-                kind=TaskKind.MODEL_CURVE,
-                payload={
-                    "family": family,
-                    "csma": csma_to_jsonable(config),
-                    "timing": timing_to_jsonable(timing),
-                    "station_counts": counts,
-                    "method": "recursive",
-                },
-            )
-        )
-        for i, n in enumerate(counts):
-            scenario = ScenarioConfig.homogeneous(
-                num_stations=n,
-                csma=config,
-                timing=timing,
-                sim_time_us=sim_time_us,
-                seed=seed,
-            )
-            for rep in range(repetitions):
-                tasks.append(
-                    Task(
-                        kind=TaskKind.SIMULATE,
-                        payload={
-                            "scenario": scenario_to_jsonable(scenario)
-                        },
-                        seed=SeedSpec(
-                            root_seed=seed, point_index=i, repetition=rep
-                        ),
-                    )
-                )
-    return tasks

@@ -1,4 +1,9 @@
-"""BatchRunner: bit-equality with ExperimentRunner and cache interop."""
+"""BatchRunner: bit-equality with ExperimentRunner and per-point caching.
+
+Batch results answering scalar runs from the cache, and the reverse,
+are pairs of the warm-cache axis in
+``tests/integration/test_conformance.py``.
+"""
 
 import pytest
 
@@ -70,35 +75,6 @@ def test_unsupported_points_fall_back_per_point():
     assert runner.counters.executed == 2
 
 
-def test_cache_written_by_batch_serves_scalar(tmp_path):
-    scenarios = _scenarios()
-    batch = BatchRunner(cache_dir=tmp_path)
-    batch.run_scenarios(scenarios, root_seed=9, repetitions=2)
-    assert batch.counters.executed == 6
-
-    warm = ExperimentRunner(max_workers=1, cache_dir=tmp_path)
-    warm.run_scenarios(scenarios, root_seed=9, repetitions=2)
-    assert warm.counters.executed == 0
-    assert warm.counters.cache_hits == 6
-
-
-def test_cache_written_by_scalar_serves_batch(tmp_path):
-    scenarios = _scenarios()
-    scalar = ExperimentRunner(max_workers=1, cache_dir=tmp_path)
-    scalar.run_scenarios(scenarios, root_seed=9, repetitions=1)
-
-    warm = BatchRunner(cache_dir=tmp_path)
-    results = warm.run_scenarios(scenarios, root_seed=9, repetitions=1)
-    assert warm.counters.executed == 0
-    assert warm.counters.cache_hits == 3
-    cold = BatchRunner().run_scenarios(scenarios, root_seed=9)
-    assert [
-        [p.result for p in group] for group in results
-    ] == [
-        [p.result for p in group] for group in cold
-    ]
-
-
 def test_partial_cache_mixes_hits_and_kernel_points(tmp_path):
     scenarios = _scenarios()
     first = BatchRunner(cache_dir=tmp_path)
@@ -152,10 +128,7 @@ def test_simulate_batch_task_matches_scalar_tasks():
         want = execute_task(
             Task(
                 kind=TaskKind.SIMULATE,
-                payload={
-                    "scenario": point["scenario"],
-                    "record_winners": False,
-                },
+                payload={"scenario": point["scenario"]},
                 seed=SeedSpec.from_jsonable(point["seed"]),
             )
         )

@@ -67,7 +67,7 @@ def _simulate_tasks():
     return [
         Task(
             kind=TaskKind.SIMULATE,
-            payload={"scenario": scenario, "record_winners": False},
+            payload={"scenario": scenario},
             seed=SeedSpec(root_seed=1, point_index=i, repetition=0),
         )
         for i in range(2)

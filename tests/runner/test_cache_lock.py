@@ -1,19 +1,13 @@
 """Advisory cache locking and size/age pruning (PR 9 satellites)."""
 
-import json
 import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
-import pytest
-
-import repro
 from repro.checkpoint.integrity import FileLock
 from repro.runner.cache import LOCK_FILENAME, ResultCache
-
-SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
+from tests.support import env
 
 
 def _fill(cache, n, size=0):
@@ -163,14 +157,10 @@ class TestConcurrentWriters:
             "    key = 'k%04d' % (base + i)\n"
             "    cache.put(key, {'i': base + i}, {'kind': 't'})\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get(
-            "PYTHONPATH", ""
-        )
         procs = [
             subprocess.Popen(
                 [sys.executable, "-c", writer, str(tmp_path), str(base)],
-                env=env,
+                env=env(),
             )
             for base in (0, 1000)
         ]

@@ -4,10 +4,9 @@ For each experiment family (parameter sweep, boost search, fairness)
 the same root seed must yield bit-identical results whether points run
 serially, across 4 worker processes, or from a warm on-disk cache —
 and a different root seed must yield different numbers wherever the
-family is stochastic.
+family is stochastic.  The sweep family's serial, pool and warm-cache
+runs are cells of ``tests/integration/test_conformance.py``.
 """
-
-import pytest
 
 from repro.boost.objectives import worst_case_throughput
 from repro.boost.search import (
@@ -37,23 +36,6 @@ def _sweep(runner, seed=1):
 
 
 class TestSweepFamily:
-    def test_serial_equals_parallel(self):
-        serial = _sweep(ExperimentRunner(max_workers=1))
-        parallel = _sweep(ExperimentRunner(max_workers=4))
-        assert serial == parallel
-
-    def test_warm_cache_identical_and_zero_executed(self, tmp_path):
-        cold = ExperimentRunner(max_workers=2, cache_dir=tmp_path)
-        first = _sweep(cold)
-        assert cold.counters.executed > 0
-
-        warm = ExperimentRunner(max_workers=1, cache_dir=tmp_path)
-        second = _sweep(warm)
-        assert second == first
-        # Every point must come from the cache: zero simulate() calls.
-        assert warm.counters.executed == 0
-        assert warm.counters.cache_hits == warm.counters.points_total
-
     def test_root_seed_changes_results(self):
         a = _sweep(ExperimentRunner(), seed=1)
         b = _sweep(ExperimentRunner(), seed=2)

@@ -4,7 +4,8 @@ Four recovery paths, each exercised through the deterministic
 ``task_*`` fault points (:mod:`repro.faults`) and each required to
 produce results *bit-identical* to a clean serial run — a retried task
 reuses its exact ``SeedSpec``, so recovery must never change the
-numbers:
+numbers (a serial ``task_raise`` and a pool ``task_exit`` are also
+cells of ``tests/integration/test_conformance.py``):
 
 - an ordinary task failure is retried with backoff (``task_raise``);
 - a worker killed without cleanup (``task_exit``) is replaced, and
@@ -29,7 +30,6 @@ from pathlib import Path
 
 import pytest
 
-import repro
 from repro import faults
 from repro.core.config import CsmaConfig, ScenarioConfig
 from repro.experiments.sweeps import sweep_configuration
@@ -44,6 +44,7 @@ from repro.runner import (
     require_complete,
     scenario_to_jsonable,
 )
+from tests.support import env
 
 COUNTS = (2, 3, 5)
 SIM_TIME_US = 2e5
@@ -101,16 +102,6 @@ class TestCrashRecovery:
         assert len(retried) == runner.counters.retried
         assert all(e.error for e in retried)
 
-    def test_serial_path_retries_too(
-        self, monkeypatch, tmp_path, clean_serial
-    ):
-        _arm(monkeypatch, tmp_path, "task_raise:times=2")
-        runner = ExperimentRunner(
-            max_workers=1, retries=1, backoff_base_s=0.01
-        )
-        assert _sweep(runner) == clean_serial
-        assert runner.counters.retried == 2
-
     def test_without_retries_the_crash_aborts(self, monkeypatch, tmp_path):
         _arm(monkeypatch, tmp_path, "task_raise:times=1")
         runner = ExperimentRunner(max_workers=1, retries=0)
@@ -123,19 +114,6 @@ class TestCrashRecovery:
 
 
 class TestBrokenPoolRecovery:
-    def test_dead_worker_rebuilds_pool(
-        self, monkeypatch, tmp_path, clean_serial
-    ):
-        _arm(monkeypatch, tmp_path, "task_exit:times=1")
-        runner = ExperimentRunner(
-            max_workers=2, retries=2, backoff_base_s=0.01
-        )
-        assert _sweep(runner) == clean_serial
-        assert runner.counters.pool_rebuilds >= 1
-        assert runner.counters.retried == 1
-        assert runner.counters.failed == 0
-        assert runner.trace.of_kind("pool_rebuild")
-
     def test_dead_worker_charges_only_its_own_task(
         self, monkeypatch, tmp_path
     ):
@@ -287,16 +265,12 @@ def _exited(pid):
     reason="needs /proc/<pid>/task/<pid>/children",
 )
 def test_pool_workers_exit_with_a_killed_runner(tmp_path):
-    env = dict(os.environ)
-    env.pop("REPRO_FAULT", None)
-    src_dir = str(Path(repro.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
     with open(tmp_path / "cli.log", "wb") as log:
         cli = subprocess.Popen(
             [sys.executable, "-m", "repro.tools.cli", "sweep",
              "--counts", "30", "40", "--sim-time", "2e7", "--reps", "2",
              "--workers", "2"],
-            env=env,
+            env=env(),
             stdout=log,
             stderr=subprocess.STDOUT,
         )

@@ -16,10 +16,8 @@ import time
 
 import pytest
 
-from repro.core.config import ScenarioConfig
-from repro.runner import ExperimentRunner, SeedSpec, Task, TaskKind
+from repro.runner import ExperimentRunner
 from repro.runner.cache import cache_key
-from repro.runner.serialize import scenario_to_jsonable
 from repro.service import (
     Orchestrator,
     ServiceConfig,
@@ -30,24 +28,12 @@ from repro.service import (
 from repro.service.journal import read_journal
 from repro.service.orchestrator import request_drain
 from repro.service.status import pid_alive
-
-SIM_TIME_US = 1e5
-
-
-def _sim_task():
-    scenario = ScenarioConfig.homogeneous(
-        num_stations=2, sim_time_us=SIM_TIME_US, seed=1
-    )
-    return Task(
-        kind=TaskKind.SIMULATE,
-        payload={"scenario": scenario_to_jsonable(scenario)},
-        seed=SeedSpec(root_seed=1, point_index=0, repetition=0),
-    )
+from tests.support import sim_tasks
 
 
 @pytest.fixture(scope="module")
 def baseline():
-    task = _sim_task()
+    (task,) = sim_tasks((2,))
     return task, ExperimentRunner().run([task])[0]
 
 
@@ -121,14 +107,20 @@ class TestLocalWorkers:
         self, tmp_path, monkeypatch, baseline
     ):
         # The first attempt hangs; freezing its process silences the
-        # heartbeat thread too, as a wedged interpreter would.
+        # heartbeat thread too, as a wedged interpreter would.  Freeze
+        # only once the one-shot hang has fired, or the retry would
+        # fire it instead and hang.
         _arm_fault(monkeypatch, tmp_path, "task_hang:times=1,seconds=60")
         orch = _orchestrator(tmp_path, baseline[0], lease_ttl_s=0.5)
+        hang_fired = tmp_path / "faults" / "slot-task_hang-0"
         frozen = []
 
         def freeze_lease_holder():
             deadline = time.monotonic() + 60
             while not frozen and time.monotonic() < deadline:
+                if not hang_fired.exists():
+                    time.sleep(0.01)
+                    continue
                 with orch.lock:
                     for lease in orch._leases.values():
                         worker = orch._workers.get(lease.worker_id)

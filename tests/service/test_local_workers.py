@@ -13,69 +13,17 @@ from pathlib import Path
 
 import pytest
 
-import repro
-from repro.core.config import ScenarioConfig
-from repro.runner import ExperimentRunner, SeedSpec, Task, TaskKind
+from repro.runner import ExperimentRunner
 from repro.runner.cache import ResultCache, cache_key
-from repro.runner.serialize import scenario_to_jsonable
 from repro.service import (
     TaskState,
     build_submission,
     fold_journal,
     write_submission,
 )
-from repro.service.journal import read_journal
 from repro.service.net import SweepClient
 from repro.service.orchestrator import ServicePaths
-
-SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
-
-
-def _tasks(count, sim_time_us):
-    out = []
-    for i in range(count):
-        scenario = ScenarioConfig.homogeneous(
-            num_stations=(i % 3) + 2, sim_time_us=sim_time_us, seed=1
-        )
-        out.append(
-            Task(
-                kind=TaskKind.SIMULATE,
-                payload={"scenario": scenario_to_jsonable(scenario)},
-                seed=SeedSpec(root_seed=1, point_index=i, repetition=0),
-            )
-        )
-    return out
-
-
-def _env(extra=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    env.pop("REPRO_FAULT", None)
-    env.update(extra or {})
-    return env
-
-
-def _cli(args, log_path, extra_env=None):
-    with open(log_path, "wb") as log:
-        return subprocess.Popen(
-            [sys.executable, "-m", "repro.tools.cli"] + args,
-            env=_env(extra_env),
-            stdout=log,
-            stderr=subprocess.STDOUT,
-        )
-
-
-def _wait_for(predicate, what, timeout_s=60.0):
-    deadline = time.monotonic() + timeout_s
-    while not predicate():
-        if time.monotonic() > deadline:
-            raise AssertionError(f"timed out waiting for {what}")
-        time.sleep(0.02)
-
-
-def _events(service_dir, event):
-    records, _ = read_journal(ServicePaths(service_dir).journal)
-    return [r for r in records if r["event"] == event]
+from tests import support
 
 
 def _exited(pid):
@@ -98,17 +46,17 @@ def _finish(proc, log_path, timeout_s=180):
 
 
 def test_local_and_remote_workers_share_one_lease_table(tmp_path):
-    tasks = _tasks(6, sim_time_us=3e7)
+    tasks = support.sim_tasks((2, 3, 4, 2, 3, 4), sim_time_us=3e7)
     want = ExperimentRunner().run(tasks)
     sdir = tmp_path / "svc"
     serve_log = tmp_path / "serve.log"
-    server = _cli(
+    server = support.cli(
         [
             "serve", "--service-dir", str(sdir),
             "--http", "127.0.0.1:0", "--workers", "1",
             "--exit-when-idle", "--idle-grace", "2",
         ],
-        serve_log,
+        log_path=serve_log,
     )
     worker = None
     try:
@@ -121,18 +69,18 @@ def test_local_and_remote_workers_share_one_lease_table(tmp_path):
                     return True
             return server.poll() is not None
 
-        _wait_for(url_printed, "the server URL")
+        support.wait_for(url_printed, "the server URL")
         assert urls, serve_log.read_text(errors="replace")
         work_log = tmp_path / "work.log"
-        worker = _cli(
+        worker = support.cli(
             [
                 "work", "--connect", urls[0], "--worker-id", "remote-1",
                 "--poll", "0.05", "--exit-when-idle", "--idle-grace", "1",
             ],
-            work_log,
+            log_path=work_log,
         )
         access = ServicePaths(sdir).telemetry / "http_access.jsonl"
-        _wait_for(
+        support.wait_for(
             lambda: access.is_file() and "/v1/claims" in access.read_text(),
             "the remote worker's first claim",
         )
@@ -150,7 +98,7 @@ def test_local_and_remote_workers_share_one_lease_table(tmp_path):
     cache = ResultCache(ServicePaths(sdir).cache)
     for task, expected in zip(tasks, want):
         assert cache.get(cache_key(task.describe())) == expected
-    workers = {r["worker"] for r in _events(sdir, "lease_granted")}
+    workers = {r["worker"] for r in support.events(sdir, "lease_granted")}
     assert "remote-1" in workers
     assert any(w.startswith("local-") for w in workers), workers
     # One protocol: no heartbeat files, no outcome envelopes.
@@ -178,13 +126,13 @@ def test_no_local_worker_outlives_a_killed_orchestrator(tmp_path):
     # One task whose first attempt hangs: one worker busy, one idle.
     write_submission(
         ServicePaths(sdir).inbox,
-        build_submission(_tasks(1, sim_time_us=1e5)),
+        build_submission(support.sim_tasks((2,))),
     )
     log_path = tmp_path / "serve.log"
     with open(log_path, "wb") as log:
         orchestrator = subprocess.Popen(
             [sys.executable, "-c", SERVE_SNIPPET, str(sdir), str(heartbeat_s)],
-            env=_env(
+            env=support.env(
                 {
                     "REPRO_FAULT": "task_hang:times=1,seconds=60",
                     "REPRO_FAULT_DIR": str(tmp_path / "faults"),
@@ -197,8 +145,8 @@ def test_no_local_worker_outlives_a_killed_orchestrator(tmp_path):
     children_file = Path(f"/proc/{pid}/task/{pid}/children")
     children = []
     try:
-        _wait_for(
-            lambda: _events(sdir, "lease_granted")
+        support.wait_for(
+            lambda: support.events(sdir, "lease_granted")
             or orchestrator.poll() is not None,
             "a lease",
         )
@@ -208,7 +156,7 @@ def test_no_local_worker_outlives_a_killed_orchestrator(tmp_path):
             children[:] = [int(c) for c in children_file.read_text().split()]
             return len(children) == 2
 
-        _wait_for(both_workers_up, "two local workers")
+        support.wait_for(both_workers_up, "two local workers")
     finally:
         orchestrator.kill()
         orchestrator.wait()

@@ -12,9 +12,7 @@ import types
 
 import pytest
 
-from repro.core.config import ScenarioConfig
-from repro.runner import ExperimentRunner, FullJitterBackoff, SeedSpec, Task, TaskKind
-from repro.runner.serialize import scenario_to_jsonable
+from repro.runner import ExperimentRunner, FullJitterBackoff
 from repro.service import Orchestrator, ServiceConfig
 from repro.service.net import (
     AllHostsUnreachable,
@@ -27,24 +25,11 @@ from repro.runner.workers import PipeClient
 from repro.service.net import client as client_module
 from repro.service.net.worker import work_loop
 from repro.service.submit import build_submission
-
-SIM_TIME_US = 1e5
+from tests.support import sim_tasks
 
 
 def _tasks(count=2):
-    out = []
-    for i in range(count):
-        scenario = ScenarioConfig.homogeneous(
-            num_stations=i + 2, sim_time_us=SIM_TIME_US, seed=1
-        )
-        out.append(
-            Task(
-                kind=TaskKind.SIMULATE,
-                payload={"scenario": scenario_to_jsonable(scenario)},
-                seed=SeedSpec(root_seed=1, point_index=i, repetition=0),
-            )
-        )
-    return out
+    return sim_tasks(range(2, count + 2))
 
 
 def _fast_client(hosts, **kwargs):

@@ -11,11 +11,9 @@ import time
 
 import pytest
 
-from repro.core.config import ScenarioConfig
 from repro.obs.recording import read_jsonl
-from repro.runner import ExperimentRunner, SeedSpec, Task, TaskKind
+from repro.runner import ExperimentRunner
 from repro.runner.cache import cache_key
-from repro.runner.serialize import scenario_to_jsonable
 from repro.service import Orchestrator, ServiceConfig, TaskState
 from repro.service.net import NetRequestError, http_json, serve_http
 from repro.service.net import server as server_module
@@ -23,24 +21,11 @@ from repro.service.net.wire import DEFAULT_TIMEOUT_S
 from repro.service.net.worker import work_loop
 from repro.service.submit import build_submission
 from repro.telemetry.openmetrics import validate_openmetrics
-
-SIM_TIME_US = 1e5
+from tests.support import sim_tasks
 
 
 def _tasks(count=2):
-    out = []
-    for i in range(count):
-        scenario = ScenarioConfig.homogeneous(
-            num_stations=i + 2, sim_time_us=SIM_TIME_US, seed=1
-        )
-        out.append(
-            Task(
-                kind=TaskKind.SIMULATE,
-                payload={"scenario": scenario_to_jsonable(scenario)},
-                seed=SeedSpec(root_seed=1, point_index=i, repetition=0),
-            )
-        )
-    return out
+    return sim_tasks(range(2, count + 2))
 
 
 @pytest.fixture()
@@ -101,6 +86,16 @@ class TestSubmission:
         )
         assert status == 400
         assert "error" in body
+
+    def test_description_that_rebuilds_no_task_is_400(self, front):
+        # Admitted, it would kill every remote worker that claimed it.
+        orch, server = front
+        bad = {"kind": "simulate", "payload": {}, "seed": {"bogus": 1}}
+        status, body, _ = http_json(
+            "POST", server.url + "/v1/sweeps", body={"tasks": [bad]}
+        )
+        assert (status, body) == (400, {"error": "malformed submission"})
+        assert not orch.state.tasks
 
     def test_admission_control_429_with_retry_after(self, tmp_path):
         orch = Orchestrator(

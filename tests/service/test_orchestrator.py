@@ -23,7 +23,6 @@ from repro.service import (
     write_submission,
 )
 from repro.service.orchestrator import ServicePaths, request_drain
-from repro.service.state import TaskRecord
 
 SIM_TIME_US = 1e5
 
@@ -251,6 +250,22 @@ class TestAdmissionControl:
             not submit.accepted for submit in state.submits.values()
         )
         assert not list(paths.inbox.glob("*.json"))
+
+    def test_description_that_rebuilds_no_task_rejected(self, tmp_path):
+        orch = Orchestrator(
+            ServiceConfig(service_dir=tmp_path / "svc", max_workers=0)
+        )
+        bad = {"kind": "simulate", "payload": {}, "seed": {"bogus": 1}}
+        orch.paths.inbox.mkdir(parents=True)
+        (orch.paths.inbox / "bad.json").write_text(
+            json.dumps({"tasks": [bad]}), encoding="utf-8"
+        )
+        with orch.lock:
+            orch._scan_inbox()
+        orch.journal.close()
+        reason = orch.paths.rejected / "bad.reason.txt"
+        assert reason.read_text().splitlines()[0] == "malformed submission"
+        assert not orch.state.tasks
 
 
 class TestRecovery:

@@ -7,18 +7,15 @@ import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro.service.signals import (
     SHUTDOWN_SIGNALS,
     ShutdownRequested,
     handle_signals,
 )
-
-SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
+from tests.support import env
 
 
 class TestRaiseMode:
@@ -85,10 +82,6 @@ class TestCliInterruption:
         """satellite (b): SIGTERM during ``repro-plc sweep`` exits 143
         with spans closed and the trace JSONL flushed and parseable."""
         telemetry = tmp_path / "telemetry"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get(
-            "PYTHONPATH", ""
-        )
         proc = subprocess.Popen(
             [
                 sys.executable,
@@ -107,7 +100,7 @@ class TestCliInterruption:
                 "--telemetry-dir",
                 str(telemetry),
             ],
-            env=env,
+            env=env(),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,

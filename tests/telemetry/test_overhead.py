@@ -53,7 +53,6 @@ def _task() -> Task:
                     num_stations=STATIONS, sim_time_us=SIM_TIME_US, seed=SEED
                 )
             ),
-            "record_winners": False,
         },
         seed=SeedSpec(root_seed=SEED, point_index=0, repetition=0),
     )

@@ -57,7 +57,6 @@ def _tasks(obs_dir: Path):
                     num_stations=STATIONS, sim_time_us=0.5e6, seed=3
                 )
             ),
-            "record_winners": False,
         },
         seed=SeedSpec(root_seed=3, point_index=0, repetition=0),
     )
@@ -190,7 +189,6 @@ class TestZeroCostWhenDisabled:
                         num_stations=2, sim_time_us=0.2e6, seed=1
                     )
                 ),
-                "record_winners": False,
             },
             seed=SeedSpec(root_seed=1, point_index=0, repetition=0),
         )
@@ -207,7 +205,6 @@ class TestZeroCostWhenDisabled:
                         num_stations=3, sim_time_us=0.5e6, seed=7
                     )
                 ),
-                "record_winners": False,
             },
             seed=SeedSpec(root_seed=7, point_index=0, repetition=0),
         )

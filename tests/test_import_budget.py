@@ -10,14 +10,11 @@ deferral-jump pmf and nothing else.  ``scipy.optimize`` and
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro.core.config import CsmaConfig, ScenarioConfig, TimingConfig
 from repro.runner import Task, TaskKind
 from repro.runner.seeding import SeedSpec
@@ -26,8 +23,8 @@ from repro.runner.serialize import (
     scenario_to_jsonable,
     timing_to_jsonable,
 )
+from tests.support import env
 
-SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
 #: Runs the task described by argv[1] and prints the scipy modules.
 CHILD = """\
@@ -52,14 +49,12 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 
 
 def _scipy_modules_after(task):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     described = None if task is None else task.describe()
     out = subprocess.run(
         [sys.executable, "-c", CHILD, json.dumps(described)],
         capture_output=True,
         text=True,
-        env=env,
+        env=env(),
         timeout=120,
         check=True,
     )

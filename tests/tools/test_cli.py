@@ -208,10 +208,7 @@ class TestCheckpointCommand:
         )
         task = Task(
             kind=TaskKind.SIMULATE,
-            payload={
-                "scenario": scenario_to_jsonable(scenario),
-                "record_winners": False,
-            },
+            payload={"scenario": scenario_to_jsonable(scenario)},
             seed=SeedSpec(root_seed=1, point_index=0, repetition=0),
         )
         runner = ExperimentRunner(
