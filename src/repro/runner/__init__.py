@@ -8,6 +8,10 @@ simulation points.  This package runs them:
   forked workers claim tasks one at a time over the worker protocol
   the service shares, :mod:`repro.runner.workers`; an in-process
   serial path for ``max_workers=1``);
+- **packed** on the vectorized batch kernel: :class:`BatchRunner` is
+  the serial runner with one packing step, which runs its plain
+  ``simulate`` points in lockstep kernel dispatches, bit-identically
+  and under the same cache keys (:mod:`repro.runner.batch`);
 - **deterministically** — every point's random stream is derived from
   ``(root_seed, point_index, repetition)`` via
   :class:`numpy.random.SeedSequence` spawn keys, so results are

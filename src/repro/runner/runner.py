@@ -7,8 +7,10 @@ order*, regardless of completion order, worker count or cache state:
 1. every task's cache key is computed in the submitting process;
 2. cached points are answered from disk;
 3. the remaining points run either in-process (``max_workers=1`` — the
-   serial path, no processes, no pickling) or on the forked workers of
-   a :class:`~repro.runner.workers.WorkerPlane`, which claim them one
+   serial path, no processes, no pickling; the serial step of
+   :class:`~repro.runner.batch.BatchRunner` packs ``simulate`` points
+   into batch-kernel dispatches) or on the forked workers of a
+   :class:`~repro.runner.workers.WorkerPlane`, which claim them one
    at a time, heartbeat them and commit their results — the protocol
    the service's workers speak;
 4. fresh results are written back to the cache (when one is
@@ -828,6 +830,38 @@ class ExperimentRunner:
             self.config.progress(done, total)
 
     # -- simulation conveniences ------------------------------------------
+    def run_points(
+        self,
+        pairs: Sequence[Tuple[ScenarioConfig, SeedSpec]],
+        record_winners: bool = False,
+    ) -> List[SimPointResult]:
+        """Simulate explicit ``(scenario, SeedSpec)`` points, in order.
+
+        Each pair becomes one ``simulate`` task seeded by its own
+        :class:`SeedSpec` — the grid contract of :meth:`run_scenarios`,
+        or any other seeding mode, such as the ``legacy_rep`` seeds that
+        reproduce :func:`repro.core.simulator.simulate` bit-for-bit.
+        """
+        pairs = list(pairs)
+        raw = self.run(
+            [
+                Task(
+                    kind=TaskKind.SIMULATE,
+                    payload={
+                        "scenario": scenario_to_jsonable(scenario),
+                        "record_winners": record_winners,
+                    },
+                    seed=seed,
+                )
+                for scenario, seed in pairs
+            ]
+        )
+        require_complete(raw, self.failures)
+        return [
+            rehydrate_simulation(scenario, entry)
+            for (scenario, _), entry in zip(pairs, raw)
+        ]
+
     def run_scenarios(
         self,
         scenarios: Sequence[ScenarioConfig],
@@ -842,32 +876,21 @@ class ExperimentRunner:
         the scenario's own ``seed`` field is *not* used.  Returns one
         list of :class:`SimPointResult` per scenario, repetition-major.
         """
-        tasks = []
-        for i, scenario in enumerate(scenarios):
-            payload = {"scenario": scenario_to_jsonable(scenario)}
-            if record_winners:
-                payload["record_winners"] = True
-            for rep in range(repetitions):
-                tasks.append(
-                    Task(
-                        kind=TaskKind.SIMULATE,
-                        payload=payload,
-                        seed=SeedSpec(
-                            root_seed=root_seed,
-                            point_index=i,
-                            repetition=rep,
-                        ),
-                    )
+        points = self.run_points(
+            [
+                (
+                    scenario,
+                    SeedSpec(root_seed=root_seed, point_index=i, repetition=rep),
                 )
-        raw = self.run(tasks)
-        require_complete(raw, self.failures)
-        grouped: List[List[SimPointResult]] = []
-        for i, scenario in enumerate(scenarios):
-            chunk = raw[i * repetitions : (i + 1) * repetitions]
-            grouped.append(
-                [rehydrate_simulation(scenario, entry) for entry in chunk]
-            )
-        return grouped
+                for i, scenario in enumerate(scenarios)
+                for rep in range(repetitions)
+            ],
+            record_winners,
+        )
+        return [
+            points[i * repetitions : (i + 1) * repetitions]
+            for i in range(len(scenarios))
+        ]
 
 
 def require_complete(

@@ -25,16 +25,6 @@ Task kinds
     ``"80211"`` family) for one configuration over a list of station
     counts.  Deterministic — carries no seed, so identical curves are
     shared between sweeps with different root seeds.
-``simulate_batch``
-    An *array* of scenario points advanced in lockstep by the
-    vectorized :class:`~repro.batch.kernel.BatchSlotKernel` (one
-    worker dispatch for the whole array).  Each point carries its own
-    scenario and :class:`SeedSpec` in the payload and produces exactly
-    the dict a ``simulate`` task for the same point would — the batch
-    kernel is bit-exact against :class:`~repro.core.simulator
-    .SlotSimulator` — so :class:`~repro.runner.batch.BatchRunner` can
-    cache each point under its *scalar* task key and batch/scalar
-    executions interoperate through the same cache entries.
 ``collision_test``
     One §3.2 emulated-testbed test
     (:func:`repro.experiments.procedures.run_collision_test`), seeded
@@ -53,6 +43,14 @@ One computation has one identity: :data:`PAYLOAD_DEFAULTS` declares
 each kind's payload defaults once, and a :class:`Task` fills the ones
 its payload leaves out, so every builder of a point hashes the same
 description and every executor reads a complete payload.
+
+Packing is an execution choice, not a kind: :func:`run_packed` runs
+many :func:`packable` ``simulate`` tasks in one lockstep pass of the
+vectorized :class:`~repro.batch.kernel.BatchSlotKernel`, returning
+exactly the result each task's own execution would (the kernel is
+bit-exact against :class:`~repro.core.simulator.SlotSimulator`).
+:class:`~repro.runner.batch.BatchRunner` packs this way; the tasks,
+their descriptions and their cache keys are unchanged.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ import copy
 import dataclasses
 import os
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .. import faults
 from .seeding import SeedSpec, streams_for
@@ -77,7 +75,9 @@ __all__ = [
     "TaskKind",
     "checkpoint_status",
     "execute_task",
+    "packable",
     "resume_point",
+    "run_packed",
     "run_task",
     "simulation_result_dict",
     "task_from_description",
@@ -88,7 +88,6 @@ class TaskKind:
     """Names of the registered task kinds."""
 
     SIMULATE = "simulate"
-    SIMULATE_BATCH = "simulate_batch"
     MODEL_CURVE = "model_curve"
     COLLISION_TEST = "collision_test"
 
@@ -170,9 +169,8 @@ def task_from_description(
 def simulation_result_dict(result) -> Dict[str, Any]:
     """The JSON-able counters dict of a ``simulate``-family result.
 
-    Shared by the scalar and batch executors so their outputs are
-    field-for-field identical — the property that lets batch-computed
-    points live in the cache under scalar ``simulate`` task keys.
+    Shared by the ``simulate`` executor and :func:`run_packed`, so a
+    point's result is field-for-field the same however it ran.
     """
     return {
         "duration_us": result.duration_us,
@@ -257,40 +255,31 @@ def _run_simulate(
     return out
 
 
-def _run_simulate_batch(
-    payload: Dict[str, Any],
-    seed: Optional[SeedSpec],
-    runtime: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Advance an array of points in lockstep through the batch kernel.
+def packable(task: Task) -> bool:
+    """Whether :func:`run_packed` can execute ``task``: a ``simulate``
+    point with no winner sequence to record and no checkpoint runtime,
+    neither of which the kernel keeps."""
+    return (
+        task.kind == TaskKind.SIMULATE
+        and not task.payload["record_winners"]
+        and not (task.runtime or {}).get("checkpoint_dir")
+    )
 
-    ``payload["points"]`` is a list of ``{"scenario": ..., "seed":
-    ...}`` dicts (scenario as JSON-able, seed a :class:`SeedSpec`
-    as-jsonable).  Every point gets the same per-(point, station)
-    streams a scalar ``simulate`` task would, so the returned
-    ``points`` list holds dicts bit-identical to what ``simulate``
-    would produce for each.
+
+def run_packed(tasks: Sequence[Task]) -> List[Dict[str, Any]]:
+    """Execute :func:`packable` tasks in one lockstep kernel pass.
+
+    Each point draws from the streams of its own :class:`SeedSpec`, so
+    the list holds, in order, exactly the result each task's own
+    execution (``run_task(task)["result"]``) would return.
     """
-    from ..batch.kernel import BatchSlotKernel
+    from ..batch.kernel import batch_simulate
 
-    scenarios = []
-    streams = []
-    for point in payload["points"]:
-        if point.get("record_winners"):
-            raise ValueError(
-                "record_winners is not supported on the batch path; "
-                "use a scalar simulate task"
-            )
-        scenarios.append(scenario_from_jsonable(point["scenario"]))
-        streams.append(
-            streams_for(SeedSpec.from_jsonable(point["seed"]))
-        )
-    kernel = BatchSlotKernel(scenarios, streams=streams)
-    return {
-        "points": [
-            simulation_result_dict(result) for result in kernel.run()
-        ]
-    }
+    results = batch_simulate(
+        [scenario_from_jsonable(task.payload["scenario"]) for task in tasks],
+        streams=[streams_for(task.seed) for task in tasks],
+    )
+    return [simulation_result_dict(result) for result in results]
 
 
 def _run_model_curve(
@@ -420,7 +409,6 @@ def _run_collision_test(
 
 _EXECUTORS = {
     TaskKind.SIMULATE: _run_simulate,
-    TaskKind.SIMULATE_BATCH: _run_simulate_batch,
     TaskKind.MODEL_CURVE: _run_model_curve,
     TaskKind.COLLISION_TEST: _run_collision_test,
 }

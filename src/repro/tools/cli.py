@@ -294,10 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         "scalar runner (default: off)",
     )
     batch.add_argument(
-        "--chunk-size", type=int, default=1024,
-        help="points per kernel dispatch (default: 1024)",
-    )
-    batch.add_argument(
         "--telemetry-dir", type=str, default=None, metavar="DIR",
         help="write run telemetry (trace.jsonl, spans.jsonl, "
         "metrics.prom) under DIR (default: off)",
@@ -641,10 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
         "scalar runner (default: off)",
     )
     validity.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="points per kernel dispatch (default: 1024)",
-    )
-    validity.add_argument(
         "--strict", action="store_true",
         help="(run) exit non-zero if any cell is flagged",
     )
@@ -967,9 +959,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         for n in args.counts
     ]
     runner = BatchRunner(
-        cache_dir=args.cache_dir,
-        chunk_size=args.chunk_size,
-        telemetry_dir=args.telemetry_dir,
+        cache_dir=args.cache_dir, telemetry_dir=args.telemetry_dir
     )
     grouped = runner.run_scenarios(
         scenarios, root_seed=args.seed, repetitions=args.reps
@@ -1621,10 +1611,7 @@ def _cmd_validity(args: argparse.Namespace) -> int:
         validity_figure,
     )
 
-    runner = BatchRunner(
-        cache_dir=args.cache_dir,
-        **({"chunk_size": args.chunk_size} if args.chunk_size else {}),
-    )
+    runner = BatchRunner(cache_dir=args.cache_dir)
     vmap = build_validity_map(
         counts=args.counts,
         regimes=args.regimes,

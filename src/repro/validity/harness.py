@@ -6,11 +6,11 @@ cell aggregating several independently seeded repetitions, and flags
 every cell against per-regime error *pins*.
 
 Execution routes through :class:`~repro.runner.batch.BatchRunner`:
-all cells of the map are simulated in one lockstep kernel dispatch
-(sharded by ``chunk_size``), every point is cached under the scalar
-runner's cache key — so an interrupted sweep resumes from the cache,
-and a map regenerated with a different ``counts`` subset reuses every
-overlapping point.
+all points of the map go to the runner in one ``run_points`` call,
+which packs the uncached ones into lockstep kernel dispatches, and
+every point is cached under its ``simulate`` task's key — so an
+interrupted sweep resumes from the cache, and a map regenerated with a
+different ``counts`` subset reuses every overlapping point.
 
 Seeding is position-independent: the point for regime ``g`` (registry
 index) at ``N`` stations, repetition ``r``, draws from
@@ -214,14 +214,13 @@ def build_validity_map(
     pins: Optional[Dict[str, Any]] = None,
     runner=None,
     cache_dir=None,
-    chunk_size: Optional[int] = None,
 ) -> ValidityMap:
     """Sweep every ``(regime, N)`` cell and build the validity map.
 
     ``runner`` is an optional
     :class:`~repro.runner.batch.BatchRunner`; by default one is built
-    (``cache_dir`` / ``chunk_size`` as shorthands).  All cells run in
-    one ``run_points`` call, so the kernel processes the whole map in
+    (``cache_dir`` as a shorthand).  All cells run in one
+    ``run_points`` call, so the kernel processes the whole map in
     lockstep and the cache makes interrupted or repeated sweeps
     incremental.
     """
@@ -238,10 +237,7 @@ def build_validity_map(
     pin_regimes = pins.get("regimes", {})
     model = Model1901(csma, timing, method=method)
     if runner is None:
-        runner = BatchRunner(
-            cache_dir=cache_dir,
-            **({"chunk_size": chunk_size} if chunk_size else {}),
-        )
+        runner = BatchRunner(cache_dir=cache_dir)
 
     cells = [
         (regime, n) for regime in selected for n in counts

@@ -8,7 +8,7 @@ are pairs of the warm-cache axis in
 import pytest
 
 from repro.core import ScenarioConfig
-from repro.core.config import CsmaConfig, StationConfig
+from repro.core.config import CsmaConfig, StationConfig, TimingConfig
 from repro.runner import (
     BatchRunner,
     ExperimentRunner,
@@ -16,8 +16,13 @@ from repro.runner import (
     Task,
     TaskKind,
 )
-from repro.runner.tasks import execute_task
-from repro.runner.serialize import scenario_to_jsonable
+from repro.runner import batch as batch_module
+from repro.runner.serialize import (
+    csma_to_jsonable,
+    scenario_to_jsonable,
+    timing_to_jsonable,
+)
+from repro.runner.tasks import run_packed, run_task
 
 SIM_TIME_US = 1e5
 
@@ -34,8 +39,8 @@ def _scenarios():
     ]
 
 
-def _unsupported():
-    """A point the kernel refuses (unsaturated station)."""
+def _unsaturated():
+    """A point with a Poisson-arrival (unsaturated) station."""
     return ScenarioConfig(
         stations=(
             StationConfig(),
@@ -43,6 +48,30 @@ def _unsupported():
         ),
         sim_time_us=SIM_TIME_US,
     )
+
+
+def _simulate(scenario, index, record_winners=False):
+    return Task(
+        kind=TaskKind.SIMULATE,
+        payload={
+            "scenario": scenario_to_jsonable(scenario),
+            "record_winners": record_winners,
+        },
+        seed=SeedSpec(root_seed=7, point_index=index, repetition=0),
+    )
+
+
+@pytest.fixture
+def packed(monkeypatch):
+    """Every task the runner hands the kernel, in dispatch order."""
+    seen = []
+
+    def spy(tasks):
+        seen.extend(tasks)
+        return run_packed(tasks)
+
+    monkeypatch.setattr(batch_module, "run_packed", spy)
+    return seen
 
 
 def test_batch_runner_matches_experiment_runner():
@@ -60,8 +89,8 @@ def test_batch_runner_matches_experiment_runner():
     ]
 
 
-def test_unsupported_points_fall_back_per_point():
-    scenarios = _scenarios()[:1] + [_unsupported()]
+def test_unsaturated_points_run_on_the_kernel(packed):
+    scenarios = _scenarios()[:1] + [_unsaturated()]
     runner = BatchRunner()
     batch = runner.run_scenarios(scenarios, root_seed=2, repetitions=1)
     scalar = ExperimentRunner(max_workers=1).run_scenarios(
@@ -73,6 +102,7 @@ def test_unsupported_points_fall_back_per_point():
         [p.result for p in group] for group in scalar
     ]
     assert runner.counters.executed == 2
+    assert len(packed) == 2
 
 
 def test_partial_cache_mixes_hits_and_kernel_points(tmp_path):
@@ -86,20 +116,17 @@ def test_partial_cache_mixes_hits_and_kernel_points(tmp_path):
     assert second.counters.executed == 2
 
 
-def test_chunking_does_not_change_results():
+def test_chunking_does_not_change_results(monkeypatch, packed):
     scenarios = _scenarios()
-    one = BatchRunner(chunk_size=1).run_scenarios(scenarios, root_seed=3)
-    big = BatchRunner(chunk_size=1024).run_scenarios(scenarios, root_seed=3)
+    big = BatchRunner().run_scenarios(scenarios, root_seed=3)
+    monkeypatch.setattr(batch_module, "CHUNK_SIZE", 1)
+    one = BatchRunner().run_scenarios(scenarios, root_seed=3)
     assert [
         [p.result for p in group] for group in one
     ] == [
         [p.result for p in group] for group in big
     ]
-
-
-def test_chunk_size_validated():
-    with pytest.raises(ValueError, match="chunk_size"):
-        BatchRunner(chunk_size=0)
+    assert len(packed) == 2 * len(scenarios)
 
 
 def test_counters_track_totals():
@@ -109,46 +136,50 @@ def test_counters_track_totals():
     assert runner.counters.executed == 6
 
 
-# -- the SIMULATE_BATCH task kind ------------------------------------------
-def test_simulate_batch_task_matches_scalar_tasks():
-    scenarios = _scenarios()[:2]
-    points = [
-        {
-            "scenario": scenario_to_jsonable(scenario),
-            "seed": SeedSpec(
-                root_seed=7, point_index=i, repetition=0
-            ).as_jsonable(),
-        }
-        for i, scenario in enumerate(scenarios)
+# -- the packing step -------------------------------------------------------
+def test_run_packed_matches_run_task():
+    tasks = [
+        _simulate(scenario, i)
+        for i, scenario in enumerate(_scenarios()[:2] + [_unsaturated()])
     ]
-    batch_out = execute_task(
-        Task(kind=TaskKind.SIMULATE_BATCH, payload={"points": points})
-    )
-    for point, got in zip(points, batch_out["points"]):
-        want = execute_task(
-            Task(
-                kind=TaskKind.SIMULATE,
-                payload={"scenario": point["scenario"]},
-                seed=SeedSpec.from_jsonable(point["seed"]),
-            )
-        )
-        assert got == want
+    assert run_packed(tasks) == [run_task(task)["result"] for task in tasks]
 
 
-def test_simulate_batch_rejects_record_winners():
-    scenario = _scenarios()[0]
-    with pytest.raises(ValueError, match="record_winners"):
-        execute_task(
-            Task(
-                kind=TaskKind.SIMULATE_BATCH,
-                payload={
-                    "points": [
-                        {
-                            "scenario": scenario_to_jsonable(scenario),
-                            "seed": SeedSpec().as_jsonable(),
-                            "record_winners": True,
-                        }
-                    ]
-                },
-            )
-        )
+def test_mixed_task_list_matches_serial_runner(packed):
+    """Only plain ``simulate`` points reach the kernel; every other
+    task runs as on the serial runner, and each slot holds what the
+    serial runner returns for it."""
+    scenarios = _scenarios()
+    plain = [_simulate(scenario, i) for i, scenario in enumerate(scenarios)]
+    tasks = [
+        plain[0],
+        _simulate(scenarios[1], 9, record_winners=True),
+        Task(
+            kind=TaskKind.COLLISION_TEST,
+            payload={
+                "num_stations": 2,
+                "duration_us": 2e5,
+                "warmup_us": 1e4,
+                "seed": 1,
+            },
+        ),
+        plain[1],
+        Task(
+            kind=TaskKind.MODEL_CURVE,
+            payload={
+                "csma": csma_to_jsonable(CsmaConfig.default_1901()),
+                "timing": timing_to_jsonable(TimingConfig()),
+                "station_counts": [2, 3],
+            },
+        ),
+        plain[2],
+        plain[0],  # the repeated key
+    ]
+    runner = BatchRunner()
+    got = runner.run(tasks)
+    assert got == ExperimentRunner(max_workers=1).run(tasks)
+    assert "winners" in got[1]
+    assert [task.describe() for task in packed] == [
+        task.describe() for task in plain + plain[:1]
+    ]
+    assert runner.counters.executed == len(tasks)

@@ -4,19 +4,25 @@ Direct with/without wall-clock comparison is noisy on shared CI
 hardware, so (following ``tests/obs/test_overhead.py``) the bound is
 established deterministically:
 
-1. run the fixed point uninstrumented and time it (the baseline);
-2. run it again instrumented, recording every probe event the checker
-   would see;
+1. run the fixed point instrumented, recording every probe event the
+   checker would see;
+2. run it uninstrumented and time it (the baseline);
 3. *replay* the recorded stream through a fresh checker (deep sweeps
    included, at the production cadence) and time exactly that — the
    replay time IS the checker's added cost, with zero simulation noise
    mixed in;
 4. assert replay < 10 % of baseline.
 
+Steps 2 and 3 alternate three times, each timed region after a
+``gc.collect()``, and each side keeps its fastest time, so one slow
+sample on a busy host moves neither side.  Timed this way the checker
+costs about 5 % of the baseline: the bound leaves a 2x margin.
+
 The instrumented run doubles as a perturbation check: subscribing the
 checker must not change the simulated outcome at all.
 """
 
+import gc
 import time
 
 from repro.chaos.invariants import InvariantChecker
@@ -28,6 +34,7 @@ STATIONS = 3
 DURATION_US = 2e6
 SEED = 1
 DEEP_EVERY = 256
+REPEATS = 3
 
 
 def _run_point(recording: bool):
@@ -36,6 +43,7 @@ def _run_point(recording: bool):
     if recording:
         probe = instrument_testbed(testbed)
         probe.subscribe(lambda event: events.append(dict(event)))
+    gc.collect()
     started = time.perf_counter()
     test = run_collision_test(
         STATIONS, duration_us=DURATION_US, seed=SEED, testbed=testbed
@@ -43,27 +51,37 @@ def _run_point(recording: bool):
     return time.perf_counter() - started, events, test, testbed
 
 
-def test_checker_overhead_under_10_percent():
-    baseline_s, _, bare, _ = _run_point(recording=False)
-    _, events, observed, testbed = _run_point(recording=True)
-    assert len(events) > 1000, "fixed point emitted suspiciously few events"
-
+def _replay(events, testbed):
+    """A fresh checker over the recorded stream, and its wall time."""
     # Watching the real station FSMs makes the deep sweeps representative;
     # the coordinator ledger is left unwatched because a post-hoc replay
     # has no live ledger to conserve against.
     checker = InvariantChecker(policy="count", deep_every=DEEP_EVERY)
     checker.watch(nodes=[device.node for device in testbed.avln.devices])
+    gc.collect()
     started = time.perf_counter()
     for event in events:
         checker(event)
-    replay_s = time.perf_counter() - started
+    return time.perf_counter() - started, checker
+
+
+def test_checker_overhead_under_10_percent():
+    _, events, observed, testbed = _run_point(recording=True)
+    assert len(events) > 1000, "fixed point emitted suspiciously few events"
+
+    baseline_s = replay_s = float("inf")
+    for _ in range(REPEATS):
+        elapsed_s, _, bare, _ = _run_point(recording=False)
+        baseline_s = min(baseline_s, elapsed_s)
+        elapsed_s, checker = _replay(events, testbed)
+        replay_s = min(replay_s, elapsed_s)
 
     assert checker.events_seen == len(events)
     assert checker.deep_sweeps == len(events) // DEEP_EVERY
     assert replay_s < 0.10 * baseline_s, (
         f"checker took {replay_s*1e3:.1f} ms over {len(events)} events "
         f"({checker.deep_sweeps} deep sweeps), which exceeds 10% of the "
-        f"{baseline_s*1e3:.0f} ms baseline"
+        f"{baseline_s*1e3:.0f} ms baseline (best of {REPEATS} each)"
     )
 
     # Checking must never perturb the simulation itself.

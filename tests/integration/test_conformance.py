@@ -2,14 +2,14 @@
 
 One small workload — the golden ``sim_1901`` points, the golden Table 2
 tests and the CA1 model curve — runs on five paths: serial, pool,
-``BatchRunner`` (simulate points; the other kinds serial on the same
-cache), service-local, and service-HTTP with one ``work --connect``
-worker.  Each path runs clean and under every fault point that can
-fire on it.  Every cell must leave cache entry files byte-identical to
-the clean serial cell's, and the pins must hold.  The warm-cache axis
-computes the workload on path A and answers it on path B with zero
-executions, for every ordered pair.  A new path or fault point gets
-its identity check here.
+``BatchRunner`` (simulate points packed into kernel dispatches, the
+other kinds one at a time), service-local, and service-HTTP with one
+``work --connect`` worker.  Each path runs clean and under every fault
+point that can fire on it.  Every cell must leave cache entry files
+byte-identical to the clean serial cell's, and the pins must hold.
+The warm-cache axis computes the workload on path A and answers it on
+path B with zero executions, for every ordered pair.  A new path or
+fault point gets its identity check here.
 """
 
 import itertools
@@ -29,7 +29,6 @@ from repro.runner.cache import ResultCache, cache_key
 from repro.runner.runner import rehydrate_simulation
 from repro.runner.serialize import (
     csma_to_jsonable,
-    scenario_from_jsonable,
     scenario_to_jsonable,
     timing_to_jsonable,
 )
@@ -115,17 +114,6 @@ def _runner(root, workers, fault=None):
     )
 
 
-def _run_batch(root):
-    batch = BatchRunner(cache_dir=_cache_dir("batch", root))
-    sims = [task for task in TASKS if task.kind == TaskKind.SIMULATE]
-    batch.run_points(
-        [(scenario_from_jsonable(t.payload["scenario"]), t.seed) for t in sims]
-    )
-    runner = _runner(root, 1)
-    runner.run([task for task in TASKS if task.kind != TaskKind.SIMULATE])
-    return {"executed": batch.counters.executed + runner.counters.executed}
-
-
 def _run_service(root, fault_env):
     sdir = root / "svc"
     write_submission(ServicePaths(sdir).inbox, build_submission(TASKS))
@@ -195,7 +183,9 @@ def run_path(path, root, fault, monkeypatch):
         runner.run(TASKS)
         return {"executed": runner.counters.executed, "runner": runner}
     if path == "batch":
-        return _run_batch(root)
+        runner = BatchRunner(cache_dir=_cache_dir("batch", root))
+        runner.run(TASKS)
+        return {"executed": runner.counters.executed, "runner": runner}
     if path == "service":
         return _run_service(root, fault_env)
     server_env, worker_env = fault_env, None

@@ -1,7 +1,8 @@
 """BatchRunner telemetry: spans, trace events, and run_id stamping.
 
-Regression suite for the batch path specifically — its trace events
-are emitted from vectorized code, not from ``ExperimentRunner``, so
+Regression suite for the batch path specifically — its packing step
+records the ``started`` events of packed points and their chunk spans
+itself, outside ``ExperimentRunner``'s one-task-at-a-time loop, so
 the scalar propagation tests do not cover it (a ``task.kind.value``
 crash on the cache-hit path once slipped through exactly this gap).
 """
@@ -51,9 +52,12 @@ def test_batch_run_emits_correlated_telemetry(tmp_path):
     assert all(r["kind"] == "simulate" for r in per_point)
     assert sum(1 for r in trace if r["event"] == "finished") == 3
 
-    names = {r["name"] for r in spans if r["event"] == "span_start"}
-    assert "batch_sweep" in names
-    assert "batch_chunk" in names
+    starts = [r for r in spans if r["event"] == "span_start"]
+    names = {r["name"] for r in starts}
+    assert {"sweep", "batch_chunk"} <= names
+    sweep = next(r["span_id"] for r in starts if r["name"] == "sweep")
+    chunks = [r for r in starts if r["name"] == "batch_chunk"]
+    assert [r["parent_id"] for r in chunks] == [sweep]
     started = {r["span_id"] for r in spans if r["event"] == "span_start"}
     ended = {r["span_id"] for r in spans if r["event"] == "span_end"}
     assert started == ended
@@ -89,10 +93,11 @@ def test_batch_results_identical_with_and_without_telemetry(tmp_path):
     assert bare == traced
 
 
-def test_batch_zero_cost_when_disabled(tmp_path):
+def test_batch_zero_cost_when_disabled(tmp_path, monkeypatch):
+    """No spans recorded and no file written; the in-memory trace is
+    the runner's, as on every ``ExperimentRunner``."""
+    monkeypatch.chdir(tmp_path)
     runner = BatchRunner()
-    assert runner.trace is None
     assert runner.spans is None
-    assert runner.run_id is None
     runner.run_scenarios(_scenarios(), root_seed=5)
-    assert not list(tmp_path.rglob("*.jsonl"))
+    assert not list(tmp_path.rglob("*"))

@@ -26,32 +26,33 @@ from repro.runner.serialize import (
 from tests.support import env
 
 
-#: Runs the task described by argv[1] and prints the scipy modules.
+#: Runs one task the way argv[1] names — ``run_task``, a one-point
+#: ``BatchRunner.run_points``, or ``import`` of the model packages —
+#: and prints the scipy modules.
 CHILD = """\
 import json, sys
-from repro.runner.seeding import SeedSpec
-from repro.runner.tasks import Task, run_task
+from repro.runner import BatchRunner
+from repro.runner.serialize import scenario_from_jsonable
+from repro.runner.tasks import run_task, task_from_description
 
-described = json.loads(sys.argv[1])
-if described is None:
+entry, described = sys.argv[1], json.loads(sys.argv[2])
+if entry == "import":
     import repro.analysis, repro.boost, repro.experiments
-else:
-    seed = described["seed"]
-    run_task(
-        Task(
-            described["kind"],
-            described["payload"],
-            SeedSpec.from_jsonable(seed) if seed else None,
-        )
+elif entry == "run_points":
+    task = task_from_description(described)
+    BatchRunner().run_points(
+        [(scenario_from_jsonable(task.payload["scenario"]), task.seed)]
     )
+else:
+    run_task(task_from_description(described))
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def _scipy_modules_after(task):
+def _scipy_modules_after(entry, task):
     described = None if task is None else task.describe()
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(described)],
+        [sys.executable, "-c", CHILD, entry, json.dumps(described)],
         capture_output=True,
         text=True,
         env=env(),
@@ -91,41 +92,41 @@ def _model_curve(family):
     )
 
 
-SCIPY_FREE = {
-    "simulate": lambda: Task(
+def _simulate():
+    return Task(
         kind=TaskKind.SIMULATE,
         payload={"scenario": _scenario()},
         seed=_seed(),
+    )
+
+
+SCIPY_FREE = {
+    "simulate": lambda: ("run_task", _simulate()),
+    "batch_run_points": lambda: ("run_points", _simulate()),
+    "collision_test": lambda: (
+        "run_task",
+        Task(
+            kind=TaskKind.COLLISION_TEST,
+            payload={
+                "num_stations": 2,
+                "duration_us": 2e5,
+                "warmup_us": 1e4,
+                "seed": 1,
+            },
+        ),
     ),
-    "simulate_batch": lambda: Task(
-        kind=TaskKind.SIMULATE_BATCH,
-        payload={
-            "points": [
-                {"scenario": _scenario(), "seed": _seed().as_jsonable()}
-            ]
-        },
-    ),
-    "collision_test": lambda: Task(
-        kind=TaskKind.COLLISION_TEST,
-        payload={
-            "num_stations": 2,
-            "duration_us": 2e5,
-            "warmup_us": 1e4,
-            "seed": 1,
-        },
-    ),
-    "model_curve_80211": lambda: _model_curve("80211"),
-    "import_model_packages": lambda: None,
+    "model_curve_80211": lambda: ("run_task", _model_curve("80211")),
+    "import_model_packages": lambda: ("import", None),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SCIPY_FREE))
 def test_loads_no_scipy(name):
-    assert _scipy_modules_after(SCIPY_FREE[name]()) == set()
+    assert _scipy_modules_after(*SCIPY_FREE[name]()) == set()
 
 
 def test_1901_model_curve_loads_scipy_special_alone():
-    loaded = _scipy_modules_after(_model_curve("1901"))
+    loaded = _scipy_modules_after("run_task", _model_curve("1901"))
     assert "scipy.special" in loaded
     subpackages = {".".join(m.split(".")[:2]) for m in loaded}
     assert "scipy.optimize" not in subpackages
