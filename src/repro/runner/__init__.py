@@ -22,9 +22,9 @@ simulation points.  This package runs them:
   (:mod:`repro.runner.cache`), so re-running a sweep or resuming an
   interrupted search only simulates new points.
 
-The execution layer is **fault tolerant**: per-task retries with
-capped exponential backoff (a retry reuses the task's exact
-:class:`SeedSpec`, so recovery cannot change the numbers), per-task
+The execution layer is **fault tolerant**: per-task retries, at once
+and up to a count, as the service retries (a retry reuses the task's
+exact :class:`SeedSpec`, so recovery cannot change the numbers), per-task
 wall-clock timeouts, a fresh worker for each one that dies or
 overruns — charging only the task it held one attempt — and an
 optional partial-results mode that returns what completed plus a

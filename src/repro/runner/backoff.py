@@ -1,26 +1,25 @@
-"""Full-jitter exponential backoff, shared by the runner and the HTTP client.
+"""Full-jitter exponential backoff for the HTTP sweep client.
 
-The runner's original retry delay (PR 2) was the deterministic capped
-exponential ``min(max, base * 2**(k-1))``.  Deterministic backoff is
-fine for one process retrying against its own worker pool, but the
-moment many clients retry against one service (the PR 10 HTTP front
-end) it synchronizes: every client that failed together retries
-together, and the retry storm re-creates the overload that caused the
-failures.  The standard fix is *full jitter* (Brooker, "Exponential
-Backoff And Jitter"): sleep ``uniform(0, cap(k))`` instead of
-``cap(k)``, which decorrelates the herd while keeping the same
-worst-case delay envelope.
+Deterministic capped exponential backoff ``min(max, base * 2**(k-1))``
+synchronizes many clients retrying against one service (the HTTP
+front end): every client that failed together retries together, and
+the retry storm re-creates the overload that caused the failures.  The
+standard fix is *full jitter* (Brooker, "Exponential Backoff And
+Jitter"): sleep ``uniform(0, cap(k))`` instead of ``cap(k)``, which
+decorrelates the herd while keeping the same worst-case delay
+envelope.  :class:`~repro.service.net.client.SweepClient` uses it;
+the runner and the orchestrator, each retrying its own workers, retry
+a failed task at once.
 
 Determinism is preserved where it matters:
 
-- the **cap** schedule stays exactly the PR 2 formula — tests that pin
-  ``RunnerConfig.backoff_s`` keep passing unchanged;
+- the **cap** schedule is exactly the capped exponential above;
 - the jitter stream is a private seedable ``random.Random`` — pass a
   ``seed`` and the delay sequence is reproducible (what the tests do);
   never the global ``random`` state, and never the task's
   :class:`~repro.runner.seeding.SeedSpec` (backoff timing must not be
   able to change results);
-- ``jitter=False`` degrades to the old deterministic schedule.
+- ``jitter=False`` degrades to the deterministic schedule.
 """
 
 from __future__ import annotations

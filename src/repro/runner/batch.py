@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Union
 
 from ..telemetry.context import span
 from .runner import ExperimentRunner, _Pending, _RunState
-from .tasks import packable, run_packed
+from .tasks import inject_faults, packable, run_packed
 
 __all__ = ["BatchRunner", "CHUNK_SIZE"]
 
@@ -79,18 +79,20 @@ class BatchRunner(ExperimentRunner):
     ) -> None:
         packed = [entry for entry in pending if packable(entry.task)]
         for start in range(0, len(packed), CHUNK_SIZE):
-            chunk = packed[start : start + CHUNK_SIZE]
+            # A packed attempt starts as run_task starts one: its task_*
+            # fault points fire first, and a fired one fails it.
+            chunk = [
+                entry
+                for entry in packed[start : start + CHUNK_SIZE]
+                if self._attempt(
+                    entry, state, lambda task: inject_faults(task) or True
+                )
+            ]
+            if not chunk:
+                continue
             # One kernel dispatch.  An exception propagates; run()
             # closes the spans and finalizes the counters.
             with span("batch_chunk", points=len(chunk)):
-                for entry in chunk:
-                    self.trace.record(
-                        "started",
-                        task_index=entry.index,
-                        kind=entry.task.kind,
-                        attempt=entry.attempt,
-                        span_id=entry.span_id,
-                    )
                 started = time.perf_counter()
                 results = run_packed([entry.task for entry in chunk])
                 # The chunk resolves as one dispatch: its wall time is
@@ -106,3 +108,4 @@ class BatchRunner(ExperimentRunner):
         super()._run_serial(
             [entry for entry in pending if not packable(entry.task)], state
         )
+

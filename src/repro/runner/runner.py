@@ -22,14 +22,16 @@ numbers — only how fast they arrive.  The determinism contract is
 enforced by ``tests/integration/test_conformance.py``.
 
 Fault tolerance (``tests/runner/test_faults.py``): a failing task is
-retried up to ``retries`` times with capped exponential backoff — and
-because a retry resubmits the *same* :class:`Task` (hence the same
-``SeedSpec``), the determinism contract extends to failure paths: a
-sweep that recovers from worker crashes is bit-identical to a clean
-run.  ``task_timeout_s`` puts a wall-clock bound on each running task
-(on workers only — a hung task cannot be preempted in-process).  A
-worker that dies or overruns the bound charges the one task it held
-one failed attempt; it is killed if need be and a fresh worker takes
+retried at once, up to ``retries`` times — the rule the service
+applies with ``max_retries`` — and because a retry resubmits the
+*same* :class:`Task` (hence the same ``SeedSpec``), the determinism
+contract extends to failure paths: a sweep that recovers from worker
+crashes is bit-identical to a clean run.  ``task_timeout_s`` puts a
+wall-clock bound on each running task (on workers only — a hung task
+cannot be preempted in-process).  A worker that dies or overruns the
+bound charges the one task it held one failed attempt, with the error
+the :class:`~repro.runner.workers.WorkerPlane` names (``WorkerDied``,
+``TimeoutError``); it is killed if need be and a fresh worker takes
 its place (counted in ``pool_rebuilds``).  With
 ``on_failure="partial"``, a task that exhausts its retries leaves
 ``None`` in its result slot and a structured
@@ -63,14 +65,20 @@ from typing import (
 from ..core.config import ScenarioConfig
 from ..core.metrics import RunnerCounters
 from ..core.results import SimulationResult, StationStats
-from .backoff import FullJitterBackoff
 from .cache import ResultCache, cache_key
 from .seeding import SeedSpec
 from .serialize import scenario_to_jsonable
 from ..telemetry.context import TelemetryContext, activate
 from ..telemetry.openmetrics import write_openmetrics
 from ..telemetry.spans import SpanRecorder
-from .tasks import Task, TaskKind, checkpoint_status, resume_point, run_task
+from .tasks import (
+    Task,
+    TaskKind,
+    attempt_runtime,
+    checkpoint_status,
+    resume_point,
+    run_task,
+)
 from .telemetry import TaskFailure, TraceRecorder
 from .workers import IDLE_CLAIM_S, WorkerPlane
 
@@ -119,25 +127,13 @@ class RunnerConfig:
         process as points complete (including permanently failed ones).
     retries:
         Retry attempts per task after its first failure (default 0 —
-        one attempt total).  A retry reuses the task's exact
-        ``SeedSpec``, so retrying cannot change the numbers.
+        one attempt total).  A failed task is retried at once, with
+        its exact ``SeedSpec``, so retrying cannot change the numbers.
     task_timeout_s:
         Per-task wall-clock bound, enforced by killing the worker of an
         overrunning task.  ``None`` (default) disables it; with
         ``max_workers=1`` there is no worker to kill, so it is not
         enforced.
-    backoff_base_s / backoff_max_s:
-        Capped exponential backoff before retry ``k`` (1-based):
-        ``min(backoff_max_s, backoff_base_s * 2**(k-1))``.
-    backoff_jitter / backoff_seed:
-        Full-jitter decorrelation of the retry delays: the actual sleep
-        before retry ``k`` is ``uniform(0, backoff_s(k))`` drawn from a
-        private RNG (:class:`~repro.runner.backoff.FullJitterBackoff`),
-        so many clients retrying against one service don't synchronize
-        into retry storms.  ``backoff_seed`` makes the delay sequence
-        reproducible for tests; ``backoff_jitter=False`` restores the
-        deterministic schedule.  Jitter can never change results —
-        only retry timing.
     on_failure:
         ``"raise"`` (default) aborts the sweep with
         :class:`RunnerTaskError` on the first permanent failure;
@@ -200,10 +196,6 @@ class RunnerConfig:
     progress: Optional[Callable[[int, int], None]] = None
     retries: int = 0
     task_timeout_s: Optional[float] = None
-    backoff_base_s: float = 0.05
-    backoff_max_s: float = 2.0
-    backoff_jitter: bool = True
-    backoff_seed: Optional[int] = None
     on_failure: str = "raise"
     trace_path: Optional[Union[str, Path]] = None
     checkpoint_dir: Optional[Union[str, Path]] = None
@@ -247,8 +239,6 @@ class RunnerConfig:
             raise ValueError(
                 f"task_timeout_s must be > 0 or None, got {self.task_timeout_s}"
             )
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
-            raise ValueError("backoff_base_s and backoff_max_s must be >= 0")
         if self.on_failure not in ("raise", "partial"):
             raise ValueError(
                 f"on_failure must be 'raise' or 'partial', got {self.on_failure!r}"
@@ -258,26 +248,6 @@ class RunnerConfig:
         if not self.max_workers:
             return max(1, os.cpu_count() or 1)
         return self.max_workers
-
-    def backoff_s(self, attempt: int) -> float:
-        """Deterministic backoff *cap* before retry ``attempt`` (1-based).
-
-        The actual sleep is sampled by :meth:`backoff_sampler` — full
-        jitter in ``[0, backoff_s(attempt)]`` unless jitter is off.
-        """
-        return min(
-            self.backoff_max_s,
-            self.backoff_base_s * (2 ** max(0, attempt - 1)),
-        )
-
-    def backoff_sampler(self) -> FullJitterBackoff:
-        """A fresh delay sampler honouring this config's jitter knobs."""
-        return FullJitterBackoff(
-            base_s=self.backoff_base_s,
-            max_s=self.backoff_max_s,
-            jitter=self.backoff_jitter,
-            seed=self.backoff_seed,
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -299,8 +269,6 @@ class _Pending:
     key: str
     #: Failed attempts so far (0 = never attempted).
     attempt: int = 0
-    #: Monotonic time before which the entry must not be (re)submitted.
-    not_before: float = 0.0
     #: Telemetry "point" span covering the task's whole lifecycle
     #: (``None`` when spans are disabled).
     span_id: Optional[str] = None
@@ -352,9 +320,6 @@ class ExperimentRunner:
             else None
         )
         self.counters = RunnerCounters()
-        #: Full-jitter retry-delay sampler (satellite of the HTTP front
-        #: end: the same helper the service client uses).
-        self._backoff = self.config.backoff_sampler()
         #: Structured records of permanently failed tasks, across runs.
         self.failures: List[TaskFailure] = []
         #: Lifecycle event trace, across runs.
@@ -425,10 +390,7 @@ class ExperimentRunner:
                             )
                             continue
                     entry = _Pending(
-                        index=i,
-                        task=self._with_checkpointing(task, key),
-                        description=description,
-                        key=key,
+                        index=i, task=task, description=description, key=key
                     )
                     if self.spans is not None:
                         entry.span_id = self.spans.start(
@@ -437,9 +399,17 @@ class ExperimentRunner:
                             task_index=i,
                             kind=task.kind,
                         )
-                        entry.task = self._with_telemetry(
-                            entry.task, entry.span_id
-                        )
+                    runtime = attempt_runtime(
+                        task.kind,
+                        key,
+                        checkpoint_root=self.config.checkpoint_dir,
+                        resume=self.config.resume,
+                        checkpoint_every_us=self.config.checkpoint_every_us,
+                        run_id=self.run_id,
+                        parent_span_id=entry.span_id,
+                    )
+                    if runtime is not None:
+                        entry.task = dataclasses.replace(task, runtime=runtime)
                     pending.append(entry)
                     self.trace.record(
                         "queued",
@@ -491,48 +461,6 @@ class ExperimentRunner:
                 self._write_metrics(force=True)
         return state.results
 
-    #: Task kinds whose executors understand the checkpoint runtime.
-    _CHECKPOINTABLE = (TaskKind.SIMULATE, TaskKind.COLLISION_TEST)
-
-    def _with_checkpointing(self, task: Task, key: str) -> Task:
-        """Attach the per-point checkpoint runtime, if configured.
-
-        Each point snapshots into its own ``checkpoint_dir/<cache_key>``
-        subdirectory: the cache key already identifies the point's full
-        description, so concurrent sweep points never share a store,
-        and a re-run of the same sweep finds its snapshots again.  A
-        task that already carries an explicit ``runtime`` is left
-        untouched.  The runtime is excluded from ``describe()``, so
-        ``key`` (computed by the caller) is unaffected.
-        """
-        if self.config.checkpoint_dir is None:
-            return task
-        if task.kind not in self._CHECKPOINTABLE or task.runtime is not None:
-            return task
-        runtime: Dict[str, Any] = {
-            "checkpoint_dir": str(Path(self.config.checkpoint_dir) / key),
-            "resume": self.config.resume,
-        }
-        if self.config.checkpoint_every_us is not None:
-            runtime["checkpoint_every_us"] = self.config.checkpoint_every_us
-        return dataclasses.replace(task, runtime=runtime)
-
-    def _with_telemetry(self, task: Task, parent_span_id: str) -> Task:
-        """Ship the correlation ids to the (possibly remote) worker.
-
-        The ids ride in the execution-time ``runtime`` dict — excluded
-        from ``describe()`` and the cache key, like the checkpoint
-        knobs — and :func:`~repro.runner.tasks.run_task` re-activates
-        them around the execution, so JSONL written *inside worker
-        processes* carries the same ``run_id`` as ours.
-        """
-        runtime = dict(task.runtime or {})
-        runtime["telemetry"] = {
-            "run_id": self.run_id,
-            "parent_span_id": parent_span_id,
-        }
-        return dataclasses.replace(task, runtime=runtime)
-
     def run_degraded_local(
         self, tasks: Sequence[Task], reason: str = "all hosts unreachable"
     ) -> List[Optional[Dict[str, Any]]]:
@@ -578,29 +506,35 @@ class ExperimentRunner:
         self, pending: Sequence[_Pending], state: _RunState
     ) -> None:
         for entry in pending:
-            while True:
-                delay = entry.not_before - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-                self.trace.record(
-                    "started",
-                    task_index=entry.index,
-                    kind=entry.task.kind,
-                    attempt=entry.attempt,
-                    span_id=entry.span_id,
-                )
-                resume = resume_point(entry.task)
-                try:
-                    envelope = run_task(entry.task)
-                except Exception as exc:
-                    error = str(exc) or repr(exc)
-                    if self._retry_or_fail(
-                        entry, state, type(exc).__name__, error, cause=exc
-                    ):
-                        continue
-                    break  # permanent failure, partial mode
+            attempt = self._attempt(
+                entry, state, lambda task: (resume_point(task), run_task(task))
+            )
+            if attempt is not None:
+                resume, envelope = attempt
                 self._complete(entry, envelope, resume, state)
-                break
+
+    def _attempt(
+        self, entry: _Pending, state: _RunState, step: Callable[[Task], Any]
+    ) -> Any:
+        """Run ``step(entry.task)`` in-process, settling each exception
+        through :meth:`_retry_or_fail` and retrying at once; what
+        ``step`` returned, or ``None`` once ``entry`` failed for good."""
+        while True:
+            self.trace.record(
+                "started",
+                task_index=entry.index,
+                kind=entry.task.kind,
+                attempt=entry.attempt,
+                span_id=entry.span_id,
+            )
+            try:
+                return step(entry.task)
+            except Exception as exc:
+                error = str(exc) or repr(exc)
+                if not self._retry_or_fail(
+                    entry, state, type(exc).__name__, error, cause=exc
+                ):
+                    return None
 
     # -- worker path -------------------------------------------------------
     def _run_workers(
@@ -656,15 +590,11 @@ class ExperimentRunner:
         return "failed"
 
     def _lease(self, state: _RunState) -> Optional[Dict[str, Any]]:
-        """The first queued entry whose backoff has elapsed, as a claim
-        answer; ``None`` when no entry is ready."""
-        now = time.monotonic()
-        for position, entry in enumerate(state.queue):
-            if entry.not_before <= now:
-                break
-        else:
+        """The first queued entry as a claim answer; ``None`` when the
+        queue is empty."""
+        if not state.queue:
             return None
-        del state.queue[position]
+        entry = state.queue.pop(0)
         state.leases[entry.index] = (entry, resume_point(entry.task))
         self.trace.record(
             "started",
@@ -684,22 +614,22 @@ class ExperimentRunner:
         state: _RunState,
         worker_id: str,
         task_id: Optional[int],
-        verdict: str,
+        error_type: str,
         error: str,
         pid: Optional[int],
     ) -> None:
         """A worker is gone and will be replaced; the task it held, if
-        any, fails one attempt."""
+        any, fails one attempt with the error the plane names."""
         self.counters.pool_rebuilds += 1
         self.trace.record(
-            "pool_rebuild", detail=f"replacing {verdict} worker {worker_id}"
+            "pool_rebuild", detail=f"replacing worker {worker_id}: {error}"
         )
         lease = state.leases.pop(task_id, None)
         if lease is None:
             return
         entry = lease[0]
-        error_type = "WorkerDied" if verdict == "exited" else "Watchdog"
-        if verdict == "overrun":
+        timed_out = error_type == "TimeoutError"
+        if timed_out:
             self.counters.timeouts += 1
             self.trace.record(
                 "timeout",
@@ -708,10 +638,8 @@ class ExperimentRunner:
                 attempt=entry.attempt,
                 span_id=entry.span_id,
             )
-            error_type = "TimeoutError"
-            error = f"task exceeded {self.config.task_timeout_s}s wall clock"
         if self._retry_or_fail(
-            entry, state, error_type, error, timed_out=verdict == "overrun"
+            entry, state, error_type, error, timed_out=timed_out
         ):
             state.queue.append(entry)
 
@@ -768,19 +696,16 @@ class ExperimentRunner:
         timed_out: bool = False,
         cause: Optional[BaseException] = None,
     ) -> bool:
-        """Schedule a retry for ``entry`` or record its permanent failure.
+        """Retry ``entry`` at once or record its permanent failure.
 
-        Returns ``True`` when a retry was scheduled (the caller requeues
-        the entry).  In ``"raise"`` mode a permanent failure raises
+        Returns ``True`` when the entry is to be retried (the caller
+        runs or requeues it now).  In ``"raise"`` mode a permanent failure raises
         :class:`RunnerTaskError` immediately, from ``cause`` (the task's
         exception, or its worker's traceback); ``run()``'s ``finally``
         finalizes the counters.
         """
         if entry.attempt < self.config.retries:
             entry.attempt += 1
-            entry.not_before = time.monotonic() + self._backoff.sample(
-                entry.attempt
-            )
             self.counters.retried += 1
             self.trace.record(
                 "retried",

@@ -59,7 +59,8 @@ import copy
 import dataclasses
 import os
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import faults
 from .seeding import SeedSpec, streams_for
@@ -73,8 +74,10 @@ __all__ = [
     "PAYLOAD_DEFAULTS",
     "Task",
     "TaskKind",
+    "attempt_runtime",
     "checkpoint_status",
     "execute_task",
+    "inject_faults",
     "packable",
     "resume_point",
     "run_packed",
@@ -112,9 +115,9 @@ class Task:
     kind: str
     payload: Dict[str, Any]
     seed: Optional[SeedSpec] = None
-    #: Execution-time settings that must NOT change the result — today
-    #: the checkpoint/resume knobs (``checkpoint_dir``,
-    #: ``checkpoint_every_us``, ``resume``).  Deliberately excluded from
+    #: Execution-time settings that must NOT change the result — the
+    #: checkpoint/resume knobs and the telemetry ids
+    #: (:func:`attempt_runtime`).  Deliberately excluded from
     #: :meth:`describe` and from equality: a checkpointed run is
     #: bit-identical to an uninterrupted one (the tentpole invariant of
     #: :mod:`repro.checkpoint`), so it shares the same cache key.
@@ -164,6 +167,40 @@ def task_from_description(
         seed=SeedSpec.from_jsonable(seed) if seed else None,
         runtime=runtime,
     )
+
+
+#: Task kinds whose executors understand the checkpoint runtime.
+_CHECKPOINTABLE = (TaskKind.SIMULATE, TaskKind.COLLISION_TEST)
+
+
+def attempt_runtime(
+    kind: str,
+    key: str,
+    *,
+    checkpoint_root: Optional[Union[str, Path]] = None,
+    resume: bool = True,
+    checkpoint_every_us: Optional[float] = None,
+    run_id: Optional[str] = None,
+    parent_span_id: Optional[str] = None,
+) -> Optional[Dict[str, Any]]:
+    """The runtime an attempt of a ``kind`` task with cache key ``key``
+    runs with (``None``: nothing applies), for the runner and the
+    service alike.  A checkpointing kind snapshots into its own store,
+    ``checkpoint_root/<key>`` (``checkpoint_every_us=None``: the kind's
+    default cadence); ``parent_span_id`` is the span the attempt's span
+    hangs under, with ``run_id`` stamped on the worker's JSONL."""
+    runtime: Dict[str, Any] = {}
+    if checkpoint_root is not None and kind in _CHECKPOINTABLE:
+        runtime["checkpoint_dir"] = str(Path(checkpoint_root) / key)
+        runtime["resume"] = resume
+        if checkpoint_every_us is not None:
+            runtime["checkpoint_every_us"] = checkpoint_every_us
+    if parent_span_id is not None:
+        runtime["telemetry"] = {
+            "run_id": run_id,
+            "parent_span_id": parent_span_id,
+        }
+    return runtime or None
 
 
 def simulation_result_dict(result) -> Dict[str, Any]:
@@ -466,9 +503,10 @@ def resume_point(task: Task) -> Optional[Tuple[int, float]]:
     return None if newest is None else (newest.seq, newest.sim_time_us)
 
 
-def _inject_faults(task: Task) -> None:
+def inject_faults(task: Task) -> None:
     """Fire the ``task_*`` fault points, one-shot per task cache key:
-    the retry of a faulted task runs clean."""
+    the retry of a faulted task runs clean.  :func:`run_task` fires
+    them first; a packed task fires them before its dispatch."""
     if not os.environ.get(faults.ENV_FAULT):
         return
     from .cache import cache_key
@@ -490,18 +528,19 @@ def run_task(task: Task) -> Dict[str, Any]:
     unless ``REPRO_FAULT`` arms one).  The runner caches and returns
     only ``envelope["result"]``.
 
-    When the task runtime carries a ``telemetry`` dict (attached by a
-    span-enabled :class:`~repro.runner.runner.ExperimentRunner`), the
+    When the task runtime carries a ``telemetry`` dict
+    (:func:`attempt_runtime`, built by a span-enabled
+    :class:`~repro.runner.runner.ExperimentRunner` or the service), the
     execution happens inside an activated
     :class:`~repro.telemetry.context.TelemetryContext` under an
     ``attempt`` span — so every JSONL line written *in this process*
     carries the sweep's ``run_id``, and the attempt's span records
-    return to the runner via ``envelope["spans"]``.  Without it, this
+    return to the owner via ``envelope["spans"]``.  Without it, this
     function touches no telemetry code at all.
     """
     telemetry = (task.runtime or {}).get("telemetry")
     if telemetry is None:
-        _inject_faults(task)
+        inject_faults(task)
         started = time.perf_counter()
         result = execute_task(task)
         return {
@@ -528,7 +567,7 @@ def run_task(task: Task) -> Dict[str, Any]:
         )
         context.span_id = attempt_id
         try:
-            _inject_faults(task)
+            inject_faults(task)
             started = time.perf_counter()
             result = execute_task(task)
         except BaseException:

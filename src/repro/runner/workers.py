@@ -39,7 +39,10 @@ stops working: it kills a worker whose task overran the owner's
 timeout or (for an owner that judges silence) whose heartbeats
 stopped, notices one that exited, and tells the owner — the task that
 worker held has failed one attempt, and no other task is charged —
-before the owner forks a replacement.
+before the owner forks a replacement.  The plane also names that
+failed attempt, so every owner charges a lost worker the same error:
+``WorkerDied`` for one that exited, ``TimeoutError`` for an overrun,
+``Watchdog`` for silence.
 """
 
 from __future__ import annotations
@@ -352,10 +355,11 @@ class WorkerPlane:
     task_id, fields)`` — a claim is answered with a task dict
     (``task_id``, ``task`` as a ``describe()`` dict, optional
     ``runtime``) or ``None`` — and :meth:`watch` removes every worker
-    that exited (verdict ``"exited"``), whose heartbeats stopped for
-    ``ttl_s`` (``"silent"``) or whose task ran past ``timeout_s``
-    (``"overrun"``), reporting each to ``lost(worker_id, task_id,
-    verdict, error, pid)`` with the task it held (``None`` if idle).
+    that exited (``WorkerDied``), whose task ran past ``timeout_s``
+    (``TimeoutError``) or whose heartbeats stopped for ``ttl_s``
+    (``Watchdog``), reporting each to ``lost(worker_id, task_id,
+    error_type, error, pid)`` with the task it held (``None`` if idle)
+    and the error its attempt is charged.
     With ``ttl_s=None`` silence is not judged: a worker that was only
     stopped (a suspended process group, a frozen cgroup) is still
     working once it resumes.  :meth:`stop` ends every worker at once;
@@ -448,17 +452,20 @@ class WorkerPlane:
         self.answer(0.0)
         now = time.monotonic()
         for worker in list(self.workers.values()):
+            error = None
             if not worker.proc.is_alive():
-                verdict = "exited"
+                error_type = "WorkerDied"
             elif worker.task_id is None:
                 continue
             elif (
                 self.timeout_s is not None
                 and now - worker.granted > self.timeout_s
             ):
-                verdict = "overrun"
+                error_type = "TimeoutError"
+                error = f"task exceeded {self.timeout_s}s wall clock"
             elif now - worker.last_beat > self.ttl_s:
-                verdict = "silent"
+                error_type = "Watchdog"
+                error = "watchdog reclaim: silent lease"
             else:
                 continue
             del self.workers[worker.worker_id]
@@ -466,17 +473,15 @@ class WorkerPlane:
             worker.proc.join(timeout=5.0)
             if worker.conn is not None:
                 worker.conn.close()
-            if verdict == "exited":
+            if error is None:
                 error = (
                     "worker exited mid-task "
                     f"(exitcode={worker.proc.exitcode})"
                 )
-            else:
-                error = f"watchdog reclaim: {verdict} lease"
             self._lost(
                 worker.worker_id,
                 worker.task_id,
-                verdict,
+                error_type,
                 error,
                 worker.proc.pid,
             )

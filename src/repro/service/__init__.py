@@ -5,7 +5,9 @@ submissions, executes them through the existing runner/cache/
 checkpoint/telemetry substrates, and — the point of the package —
 survives its own death.  Every task lifecycle transition is journaled
 to an append-only, checksummed WAL before it takes effect
-(:mod:`~repro.service.journal`), work is claimed through heartbeated
+(:mod:`~repro.service.journal`), and the live state is the fold of
+that WAL (:meth:`~repro.service.state.ServiceState.apply`), work is
+claimed through heartbeated
 leases a watchdog can reclaim — local worker processes and remote
 hosts run one worker loop against one lease table
 (:mod:`~repro.service.orchestrator`), and the local ones are the same

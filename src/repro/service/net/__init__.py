@@ -12,8 +12,8 @@ the wire:
   OpenMetrics exposition, 429 + Retry-After admission control, and the
   worker protocol over HTTP (claim / heartbeat / result / fail);
 - :mod:`~repro.service.net.client` — :class:`SweepClient`: per-request
-  timeouts, bounded retries with seedable full-jitter backoff (the
-  runner's own :class:`~repro.runner.backoff.FullJitterBackoff`), a
+  timeouts, bounded retries with seedable full-jitter backoff
+  (:class:`~repro.runner.backoff.FullJitterBackoff`), a
   circuit breaker per host, and graceful degradation to local
   :class:`~repro.runner.ExperimentRunner` execution when every host is
   unreachable — a structured ``degraded_local`` trace event, never a

@@ -5,7 +5,8 @@ inbox, quarantine, checkpoints, result cache, telemetry — and runs the
 scheduling loop: admit submissions from the inbox (a task the
 content-addressed result cache already holds completes on the spot),
 lease pending tasks to workers, watch their heartbeats, commit their
-results, retry deterministically, quarantine poison, and drain cleanly
+results, re-lease a failed task at once (the runner's retry rule, with
+``max_retries`` for ``retries``), quarantine poison, and drain cleanly
 on request.
 
 Every worker speaks one protocol — claim, heartbeat, then commit or
@@ -24,14 +25,23 @@ worker is this process's own child, so the plane knows it stopped
 working — it is killed if need be, its attempt is consumed and a fresh
 worker takes its place; a silent remote host may merely be
 partitioned, so the watchdog reclaims its lease without consuming an
-attempt.
+attempt.  A lost local worker is charged the error the plane names —
+``WorkerDied``, ``TimeoutError`` (with a ``timeout`` trace event, as in
+the runner) or ``Watchdog`` — and a local claim runs with the runtime
+:func:`~repro.runner.tasks.attempt_runtime` builds, its ``attempt``
+span under the lease's ``point`` span.
 
 Crash-safety discipline (the tentpole invariant):
 
 1. **Journal first.**  Every state transition is a durable journal
-   record *before* it takes effect.  ``kill -9`` between the record and
-   the effect is recovered by replaying the journal: the restarted
-   orchestrator re-derives the effect from the record.
+   record *before* it takes effect, and the record is the transition:
+   :meth:`Orchestrator._append` applies it to :attr:`Orchestrator.state`
+   through :meth:`~repro.service.state.ServiceState.apply`, the reducer
+   a restart and ``repro-plc status`` fold the file with, so the live
+   state is always the fold of the journal.  ``kill -9`` between the
+   record and an effect outside the state is recovered by replaying the
+   journal: the restarted orchestrator re-derives the effect from the
+   record.
 2. **Effects are idempotent.**  Re-granting a lease whose shard never
    reached a worker re-runs the task bit-identically (same
    :class:`~repro.runner.seeding.SeedSpec`); re-committing a result the
@@ -61,6 +71,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from .. import faults
 from ..runner.cache import ResultCache, cache_key, result_checksum
+from ..runner.tasks import attempt_runtime
 from ..runner.telemetry import TraceRecorder
 from ..runner.workers import (
     HEARTBEAT_S,
@@ -71,16 +82,10 @@ from ..runner.workers import (
 )
 from ..telemetry.openmetrics import write_openmetrics
 from ..telemetry.spans import SpanRecorder
-from .journal import JOURNAL_FILENAME, JournalWriter, read_journal
+from .journal import JOURNAL_FILENAME, JournalWriter
 from .quarantine import QUARANTINE_DIRNAME, write_quarantine_record
 from .signals import handle_signals
-from .state import (
-    ServiceState,
-    SubmitRecord,
-    TaskRecord,
-    TaskState,
-    fold_journal,
-)
+from .state import ServiceState, TaskRecord, TaskState, fold_journal
 from .submit import (
     INBOX_DIRNAME,
     REJECTED_DIRNAME,
@@ -229,8 +234,11 @@ class Orchestrator:
         self.journal = JournalWriter(
             self.paths.journal, sync=config.sync_journal
         )
-        #: Folded journal state — kept current by this incarnation.
+        #: The fold of the journal: :meth:`_append` applies every record
+        #: this incarnation writes, and nothing else changes it.
         self.state: ServiceState = fold_journal(self.paths.journal)
+        #: Whether an earlier incarnation left records to recover from.
+        self._resumed = self.state.records > 0
         self.trace = TraceRecorder()
         self.spans = SpanRecorder(run_id=self.trace.run_id)
         #: Every lease this incarnation granted, local or remote.
@@ -269,34 +277,11 @@ class Orchestrator:
         #: serve`` exits ``128 + signum`` so supervisors see SIGTERM
         #: drains as 143, per convention).
         self.shutdown_signum: Optional[int] = None
-        #: Per-task failure history for quarantine forensics, rebuilt
-        #: from the journal so a restart doesn't forget attempts.
-        self._failures: Dict[str, List[Dict[str, Any]]] = {}
-        self._next_task_index = 0
+        self._next_task_index = len(self.state.tasks)
         self._task_indices: Dict[str, int] = {}
         self._sweep_span: Optional[str] = None
-        self._seed_failure_history()
 
     # -- recovery ----------------------------------------------------------
-
-    def _seed_failure_history(self) -> None:
-        records, _ = read_journal(self.paths.journal)
-        for record in records:
-            event = record.get("event")
-            if event == "task_enqueued":
-                # A resubmission starts a fresh attempt budget.
-                self._failures.pop(record.get("task_id"), None)
-            elif event == "task_failed":
-                self._failures.setdefault(record["task_id"], []).append(
-                    {
-                        "attempt": record.get("attempt"),
-                        "error": record.get("error"),
-                        "error_type": record.get("error_type"),
-                        "epoch_s": record.get("epoch_s"),
-                        "worker_pid": record.get("worker_pid"),
-                    }
-                )
-        self._next_task_index = len(self.state.tasks)
 
     def _recover(self) -> None:
         """Reclaim every lease the previous incarnation held, then close
@@ -307,8 +292,6 @@ class Orchestrator:
                 task_id=record.task_id,
                 reason="orchestrator restart",
             )
-            record.state = TaskState.PENDING
-            record.lease = None
         for record in self.state.by_state(TaskState.PENDING):
             self._complete_if_cached(record)
 
@@ -326,15 +309,13 @@ class Orchestrator:
         cfg = self.config
         self.paths.pid_file.parent.mkdir(parents=True, exist_ok=True)
         self.paths.pid_file.write_text(str(os.getpid()), encoding="utf-8")
-        resumed = self.state.records > 0
-        self.state.incarnations.append(
-            self._append(
-                "service_resume" if resumed else "service_start",
-                pid=os.getpid(),
-                run_id=self.trace.run_id,
-                tasks=len(self.state.tasks),
-                corrupt_records=self.state.corrupt_records,
-            )
+        resumed = self._resumed
+        self._append(
+            "service_resume" if resumed else "service_start",
+            pid=os.getpid(),
+            run_id=self.trace.run_id,
+            tasks=len(self.state.tasks),
+            corrupt_records=self.state.corrupt_records,
         )
         self._sweep_span = self.spans.start(
             "service", workers=cfg.max_workers, resumed=resumed
@@ -381,13 +362,11 @@ class Orchestrator:
             with self.lock:
                 self._plane.stop()
                 self._release_leases("drain" if drained else "shutdown")
-                self.state.incarnations.append(
-                    self._append(
-                        "service_stop",
-                        pid=os.getpid(),
-                        drained=drained,
-                        counts=self.state.counts(),
-                    )
+                self._append(
+                    "service_stop",
+                    pid=os.getpid(),
+                    drained=drained,
+                    counts=self.state.counts(),
                 )
             self.trace.record(
                 "run_end",
@@ -420,13 +399,17 @@ class Orchestrator:
             return
         for path in sorted(inbox.glob("*.json")):
             submission = read_submission(path)
-            if submission is None:
-                self._reject(path, None, "malformed submission")
+            if submission is None:  # journaled under the file's name
+                reason = "malformed submission"
+                self._append(
+                    "sweep_rejected", submit_id=path.stem, reason=reason
+                )
+                self._reject(path, reason)
                 continue
             submit_id = submission.get("submit_id") or path.stem
             verdict = self.admit_submission(submission, submit_id=submit_id)
             if not verdict["accepted"]:
-                self._reject(path, submit_id, verdict["reason"])
+                self._reject(path, verdict["reason"])
                 continue
             try:
                 path.unlink()
@@ -477,11 +460,6 @@ class Orchestrator:
                 self._append(
                     "sweep_rejected", submit_id=submit_id, reason=reason
                 )
-                self.state.submits[submit_id] = SubmitRecord(
-                    submit_id=submit_id,
-                    accepted=False,
-                    reason=reason,
-                )
                 return {
                     "accepted": False,
                     "submit_id": submit_id,
@@ -494,13 +472,6 @@ class Orchestrator:
                 task_count=len(descriptions),
                 deduped=deduped,
             )
-            self.state.submits[submit_id] = SubmitRecord(
-                submit_id=submit_id,
-                accepted=True,
-                label=submission.get("label"),
-                task_count=len(descriptions),
-                deduped=deduped,
-            )
             for task_id, description in new:
                 self._append(
                     "task_enqueued",
@@ -508,18 +479,7 @@ class Orchestrator:
                     submit_id=submit_id,
                     task=description,
                 )
-                record = self.state.tasks.get(task_id)
-                if record is None:
-                    record = self.state.tasks[task_id] = TaskRecord(
-                        task_id=task_id
-                    )
-                record.state = TaskState.PENDING
-                record.description = description
-                record.submit_id = submit_id
-                # A resubmitted quarantined task gets a fresh attempt
-                # budget (fold_records resets it the same way).
-                record.attempts = 0
-                self._failures.pop(task_id, None)
+                record = self.state.tasks[task_id]
                 self.trace.record(
                     "queued",
                     task_index=self._task_index(task_id),
@@ -535,20 +495,8 @@ class Orchestrator:
                 "new": len(new),
             }
 
-    def _reject(
-        self, path: Path, submit_id: Optional[str], reason: str
-    ) -> None:
-        if submit_id is None or submit_id not in self.state.submits:
-            # admit_submission journals depth rejections itself; only
-            # pre-admission failures (malformed file) land here.
-            self._append(
-                "sweep_rejected", submit_id=submit_id, reason=reason
-            )
-            self.state.submits[submit_id or path.stem] = SubmitRecord(
-                submit_id=submit_id or path.stem,
-                accepted=False,
-                reason=reason,
-            )
+    def _reject(self, path: Path, reason: str) -> None:
+        """Park a rejected inbox file beside its reason."""
         self.paths.rejected.mkdir(parents=True, exist_ok=True)
         target = self.paths.rejected / path.name
         try:
@@ -584,8 +532,6 @@ class Orchestrator:
             source="cache",
             result_sha256=result_checksum(cached),
         )
-        record.state = TaskState.COMPLETED
-        record.completed_from = "cache"
         self.trace.record(
             "cache_hit",
             task_index=self._task_index(record.task_id),
@@ -613,9 +559,10 @@ class Orchestrator:
         """One pipe call, answered by the same method as its HTTP twin.
 
         The pipe names the worker, so the message carries no worker id.
-        A local claim also carries the runtime the task runs with:
-        checkpoints with resume, and the telemetry ids its ``attempt``
-        span hangs under.
+        A local claim also carries the runtime the task runs with
+        (:func:`~repro.runner.tasks.attempt_runtime`): checkpoints with
+        resume, and the lease's ``point`` span for its ``attempt`` span
+        to hang under.
         """
         if name == "heartbeat":
             return self.remote_heartbeat(task_id, worker_id)
@@ -625,42 +572,42 @@ class Orchestrator:
             return self.remote_fail(task_id, worker_id, **fields)
         shard = self.remote_claim(worker_id)
         if shard is not None:
-            runtime: Dict[str, Any] = {
-                "checkpoint_dir": str(
-                    self.paths.checkpoints / shard["task_id"]
-                ),
-                "resume": True,
-                "telemetry": {
-                    "run_id": self.trace.run_id,
-                    "parent_span_id": self._sweep_span,
-                },
-            }
-            if self.config.checkpoint_every_us is not None:
-                runtime["checkpoint_every_us"] = (
-                    self.config.checkpoint_every_us
-                )
-            shard["runtime"] = runtime
+            shard["runtime"] = attempt_runtime(
+                shard["task"]["kind"],
+                shard["task_id"],
+                checkpoint_root=self.paths.checkpoints,
+                checkpoint_every_us=self.config.checkpoint_every_us,
+                run_id=self.trace.run_id,
+                parent_span_id=self._leases[shard["task_id"]].span_id,
+            )
         return shard
 
     def _worker_lost(
         self,
         worker_id: str,
         task_id: Optional[str],
-        verdict: str,
+        error_type: str,
         error: str,
         pid: Optional[int],
     ) -> None:
         """The plane removed a local worker: our own child, so we know
-        it stopped working, and the lease it held is one failed
-        attempt.  The next tick's spawn replaces it."""
+        it stopped working, and the lease it held is one failed attempt
+        with the error the plane names.  The next tick's spawn replaces
+        it."""
         lease = self._leases.get(task_id)
         if lease is None or lease.worker_id != worker_id:
             return
+        if error_type == "TimeoutError":
+            record = self.state.tasks[task_id]
+            self.trace.record(
+                "timeout",
+                task_index=self._task_index(task_id),
+                kind=record.kind,
+                attempt=record.attempts,
+                span_id=lease.span_id,
+            )
         self._record_failure(
-            lease,
-            error=error,
-            error_type="WorkerDied" if verdict == "exited" else "Watchdog",
-            worker_pid=pid,
+            lease, error=error, error_type=error_type, worker_pid=pid
         )
 
     # -- watchdog ----------------------------------------------------------
@@ -699,13 +646,9 @@ class Orchestrator:
             self._requeue(lease)
 
     def _requeue(self, lease: _Lease) -> None:
-        """Return a leased task to the queue without consuming an
-        attempt (reclaim or release)."""
+        """Drop a lease whose reclaim or release is journaled: its task
+        is pending again, with no attempt consumed."""
         del self._leases[lease.task_id]
-        record = self.state.tasks.get(lease.task_id)
-        if record is not None and record.state == TaskState.LEASED:
-            record.state = TaskState.PENDING
-            record.lease = None
         if lease.span_id:
             self.spans.end(lease.span_id, status="aborted")
 
@@ -718,7 +661,9 @@ class Orchestrator:
         traceback_text: Optional[str] = None,
         worker_pid: Optional[int] = None,
     ) -> None:
-        """One failed attempt: journal, then retry or quarantine."""
+        """One failed attempt, journaled with its traceback: the task is
+        pending again (re-leased at once) or, past ``max_retries``,
+        quarantined with the failure history the fold holds."""
         task_id = lease.task_id
         del self._leases[task_id]
         record = self.state.tasks[task_id]
@@ -729,23 +674,9 @@ class Orchestrator:
             attempt=attempt,
             error=error,
             error_type=error_type,
+            traceback=traceback_text,
             worker_pid=worker_pid,
             worker=lease.worker_id,
-        )
-        record.attempts = attempt
-        record.last_error = error
-        record.last_error_type = error_type
-        record.lease = None
-        self._failures.setdefault(task_id, []).append(
-            {
-                "attempt": attempt,
-                "error": error,
-                "error_type": error_type,
-                "traceback": traceback_text,
-                "epoch_s": time.time(),
-                "worker_pid": worker_pid,
-                "worker": lease.worker_id,
-            }
         )
         if lease.span_id:
             self.spans.end(lease.span_id, status="error")
@@ -754,7 +685,7 @@ class Orchestrator:
                 self.paths.quarantine,
                 task_id,
                 record.description or {},
-                self._failures[task_id],
+                record.failures,
                 run_id=self.trace.run_id,
                 span_id=lease.span_id,
             )
@@ -764,11 +695,8 @@ class Orchestrator:
                 attempts=attempt,
                 record_path=str(record_path),
             )
-            record.state = TaskState.QUARANTINED
-            record.quarantine_record = str(record_path)
             event = "failed"
         else:
-            record.state = TaskState.PENDING
             event = "retried"
         self.trace.record(
             event,
@@ -823,7 +751,6 @@ class Orchestrator:
                 attempt=attempt,
                 worker=worker_id,
             )
-            record.state = TaskState.LEASED
             faults.fire("lease_grant")
             now = time.monotonic()
             self._leases[task_id] = _Lease(
@@ -902,9 +829,6 @@ class Orchestrator:
                 worker_pid=worker_pid,
                 elapsed_s=elapsed_s,
             )
-            record.state = TaskState.COMPLETED
-            record.completed_from = "worker"
-            record.lease = None
             lease = self._leases.pop(task_id, None)
             if spans:
                 self.spans.adopt(spans)
@@ -998,11 +922,13 @@ class Orchestrator:
     # -- helpers -----------------------------------------------------------
 
     def _append(self, event: str, **fields: Any) -> Dict[str, Any]:
-        """Journal one record and wake the requests held on
-        :attr:`appended`.  They run once the caller releases the lock,
-        after the state change the record announces."""
+        """Journal one record, apply it to :attr:`state` — the one
+        state transition, the same a restart folds — and wake the
+        requests held on :attr:`appended`.  They run once the caller
+        releases the lock."""
         with self.appended:
             record = self.journal.append(event, **fields)
+            self.state.apply(record)
             self.appended.notify_all()
         return record
 

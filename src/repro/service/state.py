@@ -3,10 +3,12 @@
 The journal (:mod:`repro.service.journal`) is the write-ahead log; this
 module is the deterministic reducer that turns its record stream into
 the orchestrator's working state: one :class:`TaskRecord` per task id
-with its lifecycle state, attempt count, active lease, and last error.
-Both the restarting orchestrator (crash recovery) and the read-only
-status view (``repro-plc status``) run the *same* fold, so what the
-operator sees is exactly what a restart would act on.
+with its lifecycle state, attempt count, active lease, and failure
+history.  :meth:`ServiceState.apply` is the one state transition: the
+live orchestrator applies each record as it journals it, and both a
+restart (crash recovery) and the read-only status view (``repro-plc
+status``) fold the file through the same method — so the live state,
+what the operator sees, and what a restart acts on are one state.
 
 Task lifecycle::
 
@@ -40,6 +42,13 @@ __all__ = [
 ]
 
 
+#: The ``task_failed`` fields a failure history entry keeps.
+_FAILURE_FIELDS = (
+    "attempt", "error", "error_type", "traceback", "epoch_s", "worker_pid",
+    "worker",
+)
+
+
 class TaskState:
     """Lifecycle states a journaled task can be in."""
 
@@ -66,8 +75,8 @@ class TaskRecord:
     #: Failed attempts since the task was (re)enqueued (a
     #: reclaim/release does not count).
     attempts: int = 0
-    #: Active lease fields (``lease_id``/``worker_pid``/``epoch_s``/
-    #: ``ttl_s``), present only in the LEASED state.
+    #: Active lease fields (``lease_id``/``epoch_s``/``ttl_s``/
+    #: ``attempt``), present only in the LEASED state.
     lease: Optional[Dict[str, Any]] = None
     last_error: Optional[str] = None
     last_error_type: Optional[str] = None
@@ -75,6 +84,10 @@ class TaskRecord:
     completed_from: Optional[str] = None
     result_sha256: Optional[str] = None
     quarantine_record: Optional[str] = None
+    #: One entry per failed attempt since the task was (re)enqueued —
+    #: error, traceback, worker — the forensics a quarantine record
+    #: holds.
+    failures: List[Dict[str, Any]] = dataclasses.field(default_factory=list)
 
     @property
     def kind(self) -> Optional[str]:
@@ -141,19 +154,17 @@ class ServiceState:
             and self.incarnations[-1]["event"] == "service_stop"
         )
 
-
-def fold_records(records: List[Dict[str, Any]]) -> ServiceState:
-    """Reduce journal records (in file order) to a :class:`ServiceState`."""
-    state = ServiceState(records=len(records))
-    for record in records:
+    def apply(self, record: Dict[str, Any]) -> None:
+        """Fold one journal record: the only change the state ever sees."""
+        self.records += 1
         event = record.get("event")
         task_id = record.get("task_id")
         if event in ("service_start", "service_resume", "service_stop"):
-            state.incarnations.append(record)
-            continue
+            self.incarnations.append(record)
+            return
         if event in ("sweep_accepted", "sweep_rejected"):
             submit_id = record.get("submit_id", "?")
-            state.submits[submit_id] = SubmitRecord(
+            self.submits[submit_id] = SubmitRecord(
                 submit_id=submit_id,
                 accepted=(event == "sweep_accepted"),
                 label=record.get("label"),
@@ -161,18 +172,19 @@ def fold_records(records: List[Dict[str, Any]]) -> ServiceState:
                 deduped=int(record.get("deduped", 0)),
                 reason=record.get("reason"),
             )
-            continue
+            return
         if not task_id:
-            continue
-        task = state.tasks.get(task_id)
+            return
+        task = self.tasks.get(task_id)
         if task is None:
-            task = state.tasks[task_id] = TaskRecord(task_id=task_id)
+            task = self.tasks[task_id] = TaskRecord(task_id=task_id)
         if event == "task_enqueued":
             task.state = TaskState.PENDING
             task.description = record.get("task", task.description)
             task.submit_id = record.get("submit_id", task.submit_id)
             # A resubmitted quarantined task gets a fresh attempt budget.
             task.attempts = 0
+            task.failures = []
         elif event == "lease_granted":
             task.state = TaskState.LEASED
             task.lease = {
@@ -190,6 +202,9 @@ def fold_records(records: List[Dict[str, Any]]) -> ServiceState:
             task.attempts = int(record.get("attempt", task.attempts + 1))
             task.last_error = record.get("error")
             task.last_error_type = record.get("error_type")
+            task.failures.append(
+                {key: record.get(key) for key in _FAILURE_FIELDS}
+            )
             if task.state == TaskState.LEASED:
                 task.state = TaskState.PENDING
             task.lease = None
@@ -203,6 +218,13 @@ def fold_records(records: List[Dict[str, Any]]) -> ServiceState:
             task.lease = None
             task.attempts = int(record.get("attempts", task.attempts))
             task.quarantine_record = record.get("record_path")
+
+
+def fold_records(records: List[Dict[str, Any]]) -> ServiceState:
+    """Reduce journal records (in file order) to a :class:`ServiceState`."""
+    state = ServiceState()
+    for record in records:
+        state.apply(record)
     return state
 
 

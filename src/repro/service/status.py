@@ -1,17 +1,14 @@
 """The read-only service status view behind ``repro-plc status``.
 
-Folds three on-disk streams — none of which the reader may mutate —
+Reads two on-disk streams — neither of which the reader may mutate —
 into one operator picture:
 
 - the **journal** (via :func:`repro.service.state.fold_journal`): queue
-  counts, per-task lifecycle, submissions, incarnation history.  The
-  same fold a restart runs, so status shows exactly the state a crash
-  would recover to;
-- the **telemetry** trace/span JSONL from PR 8, folded through the very
-  :class:`~repro.telemetry.console.SweepStatus` aggregator that powers
-  ``repro-plc top`` — the orchestrator emits runner-compatible
-  lifecycle events precisely so this (and ``top`` pointed at the
-  service's telemetry dir) works unmodified;
+  counts, per-kind rows (tasks by state, failed attempts, cache hits),
+  submissions, incarnation history.  The same fold a restart runs and
+  the live orchestrator keeps, so status shows exactly the state a
+  crash would recover to — while the service runs, and after it was
+  killed, when no telemetry file was ever flushed;
 - the **quarantine** forensics records, so the parked tasks are listed
   with their failure signatures, not just counted.
 
@@ -25,14 +22,15 @@ import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from ..obs.recording import read_jsonl
-from ..telemetry.console import SweepStatus
 from .journal import journal_tail_state
 from .orchestrator import ServicePaths
 from .quarantine import read_quarantine_records
-from .state import TaskState, fold_journal
+from .state import ServiceState, TaskState, fold_journal
 
 __all__ = ["pid_alive", "render_service_status", "service_status"]
+
+#: The columns of a per-kind row: tasks by state, then attempt totals.
+_ROW_KEYS = TaskState.ALL + ("failed_attempts", "cache_hits")
 
 
 def pid_alive(pid: Optional[int]) -> bool:
@@ -51,6 +49,17 @@ def pid_alive(pid: Optional[int]) -> bool:
     return True
 
 
+def _kind_rows(state: ServiceState) -> Dict[str, Dict[str, int]]:
+    """Per task kind: tasks in each state, failed attempts, cache hits."""
+    rows: Dict[str, Dict[str, int]] = {}
+    for task in state.tasks.values():
+        row = rows.setdefault(task.kind or "?", dict.fromkeys(_ROW_KEYS, 0))
+        row[task.state] += 1
+        row["failed_attempts"] += task.attempts
+        row["cache_hits"] += task.completed_from == "cache"
+    return rows
+
+
 def service_status(
     service_dir: Union[str, Path],
 ) -> Dict[str, Any]:
@@ -65,13 +74,6 @@ def service_status(
             serving_pid = pid
     except (OSError, ValueError):
         pass
-
-    sweep = SweepStatus()
-    for name in ("trace.jsonl", "spans.jsonl"):
-        path = paths.telemetry / name
-        if path.exists():
-            for record in read_jsonl(path):
-                sweep.update(record)
 
     quarantined = [
         {
@@ -118,15 +120,7 @@ def service_status(
             for s in state.submits.values()
         ],
         "quarantined": quarantined,
-        "telemetry": {
-            "run_id": sweep.run_id,
-            "kinds": {
-                kind: stats.as_dict()
-                for kind, stats in sweep.kinds.items()
-            },
-            "open_spans": len(sweep.open_spans),
-            "run_ended": sweep.run_ended,
-        },
+        "kinds": _kind_rows(state),
     }
 
 
@@ -183,20 +177,13 @@ def render_service_status(status: Dict[str, Any]) -> str:
             f"after {parked['attempts']} attempt(s) — "
             f"{parked['last_error_type']}: {parked['last_error']}"
         )
-    telemetry = status["telemetry"]
-    if telemetry["run_id"]:
-        for kind, stats in sorted(telemetry["kinds"].items()):
-            lines.append(
-                f"trace     : {kind} {stats['done']}/{stats['total']} done"
-                + (
-                    f", {stats['retried']} retried"
-                    if stats["retried"]
-                    else ""
-                )
-                + (
-                    f", {stats['cache_hits']} cache hits"
-                    if stats["cache_hits"]
-                    else ""
-                )
+    for kind, row in sorted(status["kinds"].items()):
+        lines.append(
+            f"kind      : {kind} "
+            + ", ".join(
+                f"{row[key]} {key.replace('_', ' ')}"
+                for key in _ROW_KEYS
+                if row[key]
             )
+        )
     return "\n".join(lines)

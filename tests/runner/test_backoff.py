@@ -2,7 +2,6 @@
 
 from repro.runner import FullJitterBackoff
 from repro.runner.backoff import FullJitterBackoff as _direct
-from repro.runner.runner import RunnerConfig
 
 
 class TestCap:
@@ -66,33 +65,3 @@ class TestSample:
         b = FullJitterBackoff(seed=5)
         assert [b.sample(k) for k in (1, 2, 3)] == first
 
-
-class TestRunnerWiring:
-    def test_runner_config_builds_sampler(self):
-        config = RunnerConfig(
-            backoff_base_s=0.2,
-            backoff_max_s=3.0,
-            backoff_jitter=True,
-            backoff_seed=42,
-        )
-        sampler = config.backoff_sampler()
-        assert sampler.cap(1) == 0.2
-        assert sampler.cap(10) == 3.0
-        twin = config.backoff_sampler()
-        assert [sampler.sample(k) for k in range(1, 8)] == [
-            twin.sample(k) for k in range(1, 8)
-        ]
-
-    def test_deterministic_cap_path_pinned(self):
-        # The legacy deterministic schedule survives as the cap.
-        config = RunnerConfig(backoff_base_s=0.05, backoff_max_s=2.0)
-        assert config.backoff_s(1) == 0.05
-        assert config.backoff_s(100) == 2.0
-
-    def test_jitter_off_matches_deterministic_schedule(self):
-        config = RunnerConfig(
-            backoff_base_s=0.05, backoff_max_s=2.0, backoff_jitter=False
-        )
-        sampler = config.backoff_sampler()
-        for attempt in (1, 2, 3, 5, 50):
-            assert sampler.sample(attempt) == config.backoff_s(attempt)

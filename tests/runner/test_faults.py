@@ -7,7 +7,7 @@ reuses its exact ``SeedSpec``, so recovery must never change the
 numbers (a serial ``task_raise`` and a pool ``task_exit`` are also
 cells of ``tests/integration/test_conformance.py``):
 
-- an ordinary task failure is retried with backoff (``task_raise``);
+- an ordinary task failure is retried at once (``task_raise``);
 - a worker killed without cleanup (``task_exit``) is replaced, and
   only the task it held is charged an attempt;
 - a hung task (``task_hang``) is killed by the per-task timeout and
@@ -91,9 +91,7 @@ class TestCrashRecovery:
         self, monkeypatch, tmp_path, clean_serial
     ):
         marker_dir = _arm(monkeypatch, tmp_path, "task_raise:times=2")
-        runner = ExperimentRunner(
-            max_workers=4, retries=2, backoff_base_s=0.01
-        )
+        runner = ExperimentRunner(max_workers=4, retries=2)
         assert _sweep(runner) == clean_serial
         assert runner.counters.retried >= 2
         assert runner.counters.failed == 0
@@ -144,7 +142,6 @@ class TestTimeout:
         _arm(monkeypatch, tmp_path, "task_hang:times=1,seconds=60")
         runner = ExperimentRunner(
             max_workers=2, retries=1, task_timeout_s=2.0,
-            backoff_base_s=0.01,
         )
         assert _sweep(runner) == clean_serial
         assert runner.counters.timeouts == 1
@@ -306,7 +303,6 @@ class TestPartialResults:
     def test_partial_mode_returns_survivors_and_failure_records(self):
         runner = ExperimentRunner(
             max_workers=1, retries=1, on_failure="partial",
-            backoff_base_s=0.01,
         )
         results = runner.run([_simulate_task(), self.BAD])
         assert results[0] is not None and results[1] is None
@@ -322,7 +318,6 @@ class TestPartialResults:
     def test_partial_mode_in_pool(self):
         runner = ExperimentRunner(
             max_workers=2, retries=1, on_failure="partial",
-            backoff_base_s=0.01,
         )
         results = runner.run(
             [_simulate_task(2), self.BAD, _simulate_task(3)]
@@ -369,8 +364,7 @@ class TestTelemetry:
         _arm(monkeypatch, tmp_path, "task_raise:times=1")
         trace_path = tmp_path / "trace.jsonl"
         runner = ExperimentRunner(
-            max_workers=2, retries=1, backoff_base_s=0.01,
-            trace_path=trace_path,
+            max_workers=2, retries=1, trace_path=trace_path,
         )
         assert _sweep(runner) == clean_serial
         events = [
@@ -404,9 +398,9 @@ class TestConfigValidation:
             {"retries": -1},
             {"task_timeout_s": 0.0},
             {"task_timeout_s": -5.0},
-            {"backoff_base_s": -0.1},
+            {"checkpoint_every_us": 0.0, "checkpoint_dir": "ckpt"},
             {"on_failure": "explode"},
-            {"backoff_max_s": -0.1},
+            {"checkpoint_every_us": 1e6},  # no checkpoint_dir
         ],
     )
     def test_bad_config_fails_at_construction(self, kwargs):
@@ -421,8 +415,6 @@ class TestConfigValidation:
             on_failure="partial",
         )
         assert config.resolved_workers() >= 1
-        assert config.backoff_s(1) == config.backoff_base_s
-        assert config.backoff_s(100) == config.backoff_max_s
 
 
 class TestFaultPlanParsing:

@@ -5,12 +5,15 @@
   a parked task straight to the matching telemetry;
 - ``repro-plc status`` (and its ``--json`` document) tolerates a torn
   trailing journal record — the fingerprint of ``kill -9`` mid-append —
-  and *reports* it as ``journal_tail: "torn"`` instead of crashing.
+  and *reports* it as ``journal_tail: "torn"`` instead of crashing;
+- it reads the journal alone, so a killed service, which never flushed
+  its telemetry, still shows its per-kind counts.
 """
 
 import json
 
-from repro.service import Orchestrator, ServiceConfig
+from repro.runner.cache import cache_key
+from repro.service import Orchestrator, ServiceConfig, build_submission
 from repro.service.journal import JournalWriter, journal_tail_state
 from repro.service.orchestrator import ServicePaths
 from repro.service.quarantine import (
@@ -18,6 +21,8 @@ from repro.service.quarantine import (
     write_quarantine_record,
 )
 from repro.service.status import render_service_status, service_status
+from repro.service.submit import standard_sweep_tasks
+from tests.support import sim_tasks
 
 
 class TestQuarantineCorrelation:
@@ -100,18 +105,34 @@ class TestTornJournalTail:
         rendered = render_service_status(status)
         assert "[tail torn]" in rendered
 
-    def test_status_tolerates_torn_telemetry_lines(self, tmp_path):
-        sdir = tmp_path / "svc"
-        journal = JournalWriter(ServicePaths(sdir).journal)
-        journal.append("service_start", pid=1)
-        journal.close()
-        telemetry = ServicePaths(sdir).telemetry
-        telemetry.mkdir(parents=True, exist_ok=True)
-        (telemetry / "trace.jsonl").write_text(
-            json.dumps({"event": "run_start", "run_id": "r", "t_s": 0.0})
-            + "\n"
-            + '{"event": "started", "task_in',  # torn mid-write
-            encoding="utf-8",
+    def test_status_of_a_killed_service_counts_per_kind(self, tmp_path):
+        # A service killed with kill -9 leaves its journal and no
+        # telemetry file: the per-kind rows come from the journal fold.
+        curve = standard_sweep_tasks((2,), repetitions=0)[0]
+        tasks = sim_tasks((2, 3)) + [curve]
+        orch = Orchestrator(
+            ServiceConfig(service_dir=tmp_path / "svc", max_workers=0)
         )
-        status = service_status(sdir)  # must not raise
-        assert status["telemetry"]["run_id"] == "r"
+        cached = tasks[1].describe()
+        orch.cache.put(cache_key(cached), {"n": 3}, cached)
+        orch.admit_submission(build_submission(tasks))
+        shard = orch.remote_claim("w1")
+        orch.remote_fail(shard["task_id"], "w1", error="boom")
+        orch.journal.close()  # killed: serve never ran, nothing flushed
+        assert not orch.paths.telemetry.exists()
+        status = service_status(orch.paths.root)
+        assert status["kinds"]["simulate"] == {
+            "pending": 1,
+            "leased": 0,
+            "completed": 1,
+            "quarantined": 0,
+            "failed_attempts": 1,
+            "cache_hits": 1,
+        }
+        assert status["kinds"]["model_curve"]["pending"] == 1
+        rendered = render_service_status(status)
+        assert (
+            "kind      : simulate 1 pending, 1 completed, "
+            "1 failed attempts, 1 cache hits"
+        ) in rendered.splitlines()
+        assert "kind      : model_curve 1 pending" in rendered.splitlines()

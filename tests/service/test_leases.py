@@ -157,9 +157,12 @@ class TestLocalWorkers:
         _arm_fault(monkeypatch, tmp_path, "task_hang:times=1,seconds=60")
         orch = _orchestrator(tmp_path, baseline[0], task_timeout_s=2.0)
         _serve(orch)
+        # Charged as the runner charges an overrun.
         (failed,) = _records(orch, "task_failed")
-        assert failed["error_type"] == "Watchdog"
-        assert "overrun" in failed["error"]
+        assert failed["error_type"] == "TimeoutError"
+        assert "exceeded" in failed["error"]
+        (timeout,) = orch.trace.of_kind("timeout")
+        assert (timeout.kind, timeout.attempt) == ("simulate", 0)
         assert not pid_alive(failed["worker_pid"])
         _assert_completed_by_fresh_worker(orch, baseline, failed)
 

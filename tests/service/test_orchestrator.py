@@ -127,6 +127,21 @@ class TestHappyPath:
         names = {s["name"] for s in spans}
         assert {"service", "point", "attempt"} <= names
 
+    def test_attempt_spans_nest_under_point_spans(self, tmp_path):
+        # sweep -> point -> attempt, as in the runner's span tree.
+        _submit(tmp_path / "svc", [_sim_task(2), _sim_task(3, point=1)])
+        _serve(tmp_path / "svc")
+        spans = ServicePaths(tmp_path / "svc").telemetry / "spans.jsonl"
+        starts = {
+            record["span_id"]: record
+            for record in map(json.loads, spans.read_text().splitlines())
+            if record["event"] == "span_start"
+        }
+        attempts = [s for s in starts.values() if s["name"] == "attempt"]
+        assert len(attempts) == 2
+        for attempt in attempts:
+            assert starts[attempt["parent_id"]]["name"] == "point"
+
 
 class TestDedupe:
     def test_resubmission_dedupes_completed_tasks(self, tmp_path):
