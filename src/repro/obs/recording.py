@@ -1,8 +1,9 @@
 """Shared event-record conventions: ordered logs with JSONL export.
 
-Every trace producer in the repo — the runner's task-lifecycle
-:class:`~repro.runner.telemetry.TraceRecorder`, the MAC trace and the
-SoF trace of :mod:`repro.obs.trace` — follows the same contract:
+Every trace producer in the repo — the runner's
+:class:`~repro.runner.telemetry.TraceRecorder` (lifecycle events and
+spans, one stream), the MAC trace and the SoF trace of
+:mod:`repro.obs.trace` — follows the same contract:
 
 - events are collected **in record order** on an ``events`` list;
 - each event serializes via ``as_jsonable()`` (dataclasses drop

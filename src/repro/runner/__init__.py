@@ -35,8 +35,10 @@ fault points of :mod:`repro.faults`.
 
 Progress, cache and fault behaviour are observable through
 :class:`repro.core.metrics.RunnerCounters` (``runner.counters``) and
-the per-task lifecycle trace (``runner.trace``, exportable as JSONL
-via ``trace_path``).
+the run's one event stream (``runner.trace``): the per-task lifecycle
+events, plus the run's spans when a ``trace_path`` is set — the one
+switch for telemetry — which the stream is appended to as the run
+goes.
 """
 
 from ..faults import InjectedFault

@@ -38,8 +38,9 @@ its place (counted in ``pool_rebuilds``).  With
 :class:`~repro.runner.telemetry.TaskFailure` on ``runner.failures``
 instead of aborting the sweep; the default ``"raise"`` mode raises
 :class:`RunnerTaskError` (with counters still finalized truthfully).
-Every lifecycle transition is recorded on ``runner.trace`` and can be
-exported as JSONL via ``trace_path``.
+Every lifecycle transition is recorded on ``runner.trace``.  With a
+``trace_path``, the run's spans join it and the stream is appended to
+that one JSONL file as the run goes.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from .seeding import SeedSpec
 from .serialize import scenario_to_jsonable
 from ..telemetry.context import TelemetryContext, activate
 from ..telemetry.openmetrics import write_openmetrics
-from ..telemetry.spans import SpanRecorder
 from .tasks import (
     Task,
     TaskKind,
@@ -140,29 +140,27 @@ class RunnerConfig:
         ``"partial"`` completes the sweep, leaves ``None`` in failed
         slots and records a :class:`TaskFailure` per lost point.
     trace_path:
-        When set, task lifecycle events are appended to this JSONL
-        file at the end of every ``run()``.
-    span_path:
-        When set, hierarchical telemetry spans (sweep → point →
-        attempt, plus chaos/checkpoint scopes) are recorded and
-        appended to this JSONL file, an ambient
-        :class:`~repro.telemetry.context.TelemetryContext` is active
-        for the duration of each ``run()``, and every JSONL line any
-        layer writes during the run (obs traces, chaos ledgers,
-        checkpoint journals) is stamped with the run's ``run_id``.
-        ``None`` (default) disables spans entirely — the zero-cost
-        path.
+        When set, the run's event stream is appended to this JSONL
+        file at run start, as points complete (at most every 0.5 s)
+        and when the run ends — so ``repro-plc top`` can follow it.
+        The stream holds the task lifecycle events and the run's
+        spans (sweep → point → attempt, plus chaos/checkpoint scopes);
+        an ambient :class:`~repro.telemetry.context.TelemetryContext`
+        is active for the duration of each ``run()``, and every JSONL
+        line any layer writes during the run (obs traces, chaos
+        ledgers, checkpoint journals) is stamped with the run's
+        ``run_id``.  ``None`` (default) records no span and activates
+        no context — the zero-cost path.
     metrics_path:
         When set, the runner's counters are rendered to this file in
-        OpenMetrics text format at run start, periodically as points
-        complete (throttled), and finally when the run ends — the
-        Prometheus textfile-collector pattern.
+        OpenMetrics text format on the same schedule — the Prometheus
+        textfile-collector pattern.
     telemetry_dir:
-        Convenience switch: setting it defaults ``trace_path``,
-        ``span_path`` and ``metrics_path`` to ``trace.jsonl``,
-        ``spans.jsonl`` and ``metrics.prom`` inside the directory (the
-        layout ``repro-plc top`` and ``repro-plc report`` expect).
-        Explicitly-set paths win over the derived ones.
+        Convenience switch: setting it defaults ``trace_path`` and
+        ``metrics_path`` to ``trace.jsonl`` and ``metrics.prom`` inside
+        the directory (the layout ``repro-plc top`` and ``repro-plc
+        report`` expect).  Explicitly-set paths win over the derived
+        ones.
     checkpoint_dir:
         When set, ``simulate`` and ``collision_test`` points snapshot
         their full simulation state into
@@ -201,7 +199,6 @@ class RunnerConfig:
     checkpoint_dir: Optional[Union[str, Path]] = None
     checkpoint_every_us: Optional[float] = None
     resume: bool = True
-    span_path: Optional[Union[str, Path]] = None
     metrics_path: Optional[Union[str, Path]] = None
     telemetry_dir: Optional[Union[str, Path]] = None
 
@@ -210,8 +207,6 @@ class RunnerConfig:
             base = Path(self.telemetry_dir)
             if self.trace_path is None:
                 object.__setattr__(self, "trace_path", base / "trace.jsonl")
-            if self.span_path is None:
-                object.__setattr__(self, "span_path", base / "spans.jsonl")
             if self.metrics_path is None:
                 object.__setattr__(
                     self, "metrics_path", base / "metrics.prom"
@@ -270,7 +265,7 @@ class _Pending:
     #: Failed attempts so far (0 = never attempted).
     attempt: int = 0
     #: Telemetry "point" span covering the task's whole lifecycle
-    #: (``None`` when spans are disabled).
+    #: (``None`` without a trace file).
     span_id: Optional[str] = None
 
 
@@ -322,19 +317,13 @@ class ExperimentRunner:
         self.counters = RunnerCounters()
         #: Structured records of permanently failed tasks, across runs.
         self.failures: List[TaskFailure] = []
-        #: Lifecycle event trace, across runs.
+        #: The run's event stream, across runs: lifecycle events, and
+        #: spans when there is a trace file.
         self.trace = TraceRecorder()
-        #: Telemetry correlation id shared by the trace, the spans, and
-        #: every JSONL line written while a telemetry run is active.
+        #: Telemetry correlation id shared by the trace and every JSONL
+        #: line written while a telemetry run is active.
         self.run_id = self.trace.run_id
-        #: Hierarchical span recorder; ``None`` when spans are disabled
-        #: (``span_path`` unset) — the zero-cost path.
-        self.spans: Optional[SpanRecorder] = (
-            SpanRecorder(run_id=self.run_id)
-            if self.config.span_path is not None
-            else None
-        )
-        self._last_metrics_write = 0.0
+        self._last_flush = 0.0
 
     # -- core execution ----------------------------------------------------
     def run(self, tasks: Sequence[Task]) -> List[Optional[Dict[str, Any]]]:
@@ -353,8 +342,8 @@ class ExperimentRunner:
         state = _RunState(results=[None] * len(tasks))
         with contextlib.ExitStack() as scope:
             sweep_id: Optional[str] = None
-            if self.spans is not None:
-                sweep_id = self.spans.start(
+            if self.config.trace_path is not None:
+                sweep_id = self.trace.start(
                     "sweep", points=len(tasks), workers=workers
                 )
                 # While the sweep span is open, every JSONL line any
@@ -364,14 +353,14 @@ class ExperimentRunner:
                 scope.enter_context(
                     activate(
                         TelemetryContext(
-                            self.run_id, sweep_id, recorder=self.spans
+                            self.run_id, sweep_id, recorder=self.trace
                         )
                     )
                 )
             self.trace.record_run_start(
                 detail=f"points={len(tasks)}", span_id=sweep_id
             )
-            self._write_metrics(force=True)
+            self._flush_telemetry(force=True)
             try:
                 pending: List[_Pending] = []
                 for i, task in enumerate(tasks):
@@ -392,8 +381,8 @@ class ExperimentRunner:
                     entry = _Pending(
                         index=i, task=task, description=description, key=key
                     )
-                    if self.spans is not None:
-                        entry.span_id = self.spans.start(
+                    if sweep_id is not None:
+                        entry.span_id = self.trace.start(
                             "point",
                             parent_id=sweep_id,
                             task_index=i,
@@ -447,18 +436,15 @@ class ExperimentRunner:
                         f"failed={len(state.failures)}"
                     ),
                 )
-                if self.spans is not None:
+                if sweep_id is not None:
                     aborted = sys.exc_info()[0] is not None
-                    for open_id in self.spans.open_spans():
+                    for open_id in self.trace.open_spans():
                         if open_id != sweep_id:
-                            self.spans.end(open_id, status="aborted")
-                    self.spans.end(
+                            self.trace.end(open_id, status="aborted")
+                    self.trace.end(
                         sweep_id, status="error" if aborted else "ok"
                     )
-                    self.spans.flush_jsonl(self.config.span_path)
-                if self.config.trace_path is not None:
-                    self.trace.flush_jsonl(self.config.trace_path)
-                self._write_metrics(force=True)
+                self._flush_telemetry(force=True)
         return state.results
 
     def run_degraded_local(
@@ -481,25 +467,32 @@ class ExperimentRunner:
         self.trace.record("degraded_local", detail=reason)
         return self.run(tasks)
 
-    def _write_metrics(self, force: bool = False) -> None:
-        """Render counters to the OpenMetrics textfile (throttled).
+    def _flush_telemetry(self, force: bool = False) -> None:
+        """Append the trace's new events to the trace file and render
+        the counters to the OpenMetrics textfile, at most every 0.5 s
+        unless ``force``d.
 
         Failure to write the textfile must never kill a sweep — the
         metrics file is advisory output, not part of the results.
         """
-        path = self.config.metrics_path
-        if path is None:
+        cfg = self.config
+        if cfg.trace_path is None and cfg.metrics_path is None:
             return
         now = time.monotonic()
-        if not force and now - self._last_metrics_write < 0.5:
+        if not force and now - self._last_flush < 0.5:
             return
-        self._last_metrics_write = now
-        try:
-            write_openmetrics(
-                path, runner_counters=self.counters, run_id=self.run_id
-            )
-        except OSError:
-            pass
+        self._last_flush = now
+        if cfg.trace_path is not None:
+            self.trace.flush_jsonl(cfg.trace_path)
+        if cfg.metrics_path is not None:
+            try:
+                write_openmetrics(
+                    cfg.metrics_path,
+                    runner_counters=self.counters,
+                    run_id=self.run_id,
+                )
+            except OSError:
+                pass
 
     # -- serial path -------------------------------------------------------
     def _run_serial(
@@ -670,12 +663,9 @@ class ExperimentRunner:
                 span_id=entry.span_id,
                 detail=f"seq={resume[0]} sim_time_us={resume[1]}",
             )
-        if self.spans is not None:
-            worker_spans = envelope.get("spans")
-            if worker_spans:
-                self.spans.adopt(worker_spans)
-            if entry.span_id is not None:
-                self.spans.end(entry.span_id)
+        if entry.span_id is not None:
+            self.trace.adopt(envelope.get("spans", []))
+            self.trace.end(entry.span_id)
         self.trace.record(
             "finished",
             task_index=entry.index,
@@ -729,8 +719,8 @@ class ExperimentRunner:
         )
         state.failures.append(failure)
         state.done += 1
-        if self.spans is not None and entry.span_id is not None:
-            self.spans.end(entry.span_id, status="error")
+        if entry.span_id is not None:
+            self.trace.end(entry.span_id, status="error")
         self.trace.record(
             "failed",
             task_index=entry.index,
@@ -750,7 +740,7 @@ class ExperimentRunner:
         return False
 
     def _progress(self, done: int, total: int) -> None:
-        self._write_metrics()
+        self._flush_telemetry()
         if self.config.progress is not None:
             self.config.progress(done, total)
 

@@ -533,10 +533,13 @@ def run_task(task: Task) -> Dict[str, Any]:
     :class:`~repro.runner.runner.ExperimentRunner` or the service), the
     execution happens inside an activated
     :class:`~repro.telemetry.context.TelemetryContext` under an
-    ``attempt`` span — so every JSONL line written *in this process*
-    carries the sweep's ``run_id``, and the attempt's span records
-    return to the owner via ``envelope["spans"]``.  Without it, this
-    function touches no telemetry code at all.
+    ``attempt`` span, recorded on a
+    :class:`~repro.runner.telemetry.TraceRecorder` of the sweep's
+    ``run_id`` — so every JSONL line written *in this process* carries
+    that id, and the attempt's span records return to the owner via
+    ``envelope["spans"]`` for its :meth:`~repro.runner.telemetry
+    .TraceRecorder.adopt`.  Without it, this function touches no
+    telemetry code at all.
     """
     telemetry = (task.runtime or {}).get("telemetry")
     if telemetry is None:
@@ -549,34 +552,22 @@ def run_task(task: Task) -> Dict[str, Any]:
             "elapsed_s": time.perf_counter() - started,
         }
 
-    from ..obs.recording import as_jsonable
-    from ..telemetry.context import TelemetryContext, activate
-    from ..telemetry.spans import SpanRecorder
+    from ..telemetry.context import TelemetryContext, activate, span
+    from .telemetry import TraceRecorder
 
-    recorder = SpanRecorder(run_id=telemetry.get("run_id"))
-    parent_id = telemetry.get("parent_span_id")
+    recorder = TraceRecorder(run_id=telemetry.get("run_id"))
     context = TelemetryContext(
-        recorder.run_id, parent_id, recorder=recorder
+        recorder.run_id, telemetry.get("parent_span_id"), recorder=recorder
     )
-    with activate(context):
-        attempt_id = recorder.start(
-            "attempt",
-            parent_id=parent_id,
-            kind=task.kind,
-            worker_pid=os.getpid(),
-        )
-        context.span_id = attempt_id
-        try:
-            inject_faults(task)
-            started = time.perf_counter()
-            result = execute_task(task)
-        except BaseException:
-            recorder.end(attempt_id, status="error")
-            raise
-        recorder.end(attempt_id)
+    with activate(context), span(
+        "attempt", kind=task.kind, worker_pid=os.getpid()
+    ):
+        inject_faults(task)
+        started = time.perf_counter()
+        result = execute_task(task)
     return {
         "result": result,
         "worker_pid": os.getpid(),
         "elapsed_s": time.perf_counter() - started,
-        "spans": [as_jsonable(event) for event in recorder.events],
+        "spans": [event.as_jsonable() for event in recorder.events],
     }

@@ -1,12 +1,20 @@
-"""Run telemetry: per-task lifecycle events and failure records.
+"""Run telemetry: one event stream per run, plus failure records.
 
 The runner emits one :class:`TaskEvent` per lifecycle transition of
 every task it schedules — ``queued``, ``cache_hit``, ``started``,
 ``retried``, ``timeout``, ``failed``, ``finished`` — plus run-level
 events (``run_start``, ``run_end``, and ``pool_rebuild`` for each
-worker replaced).  A :class:`TraceRecorder` collects them in order
-and can append them to a JSONL file (one event object per line), which
-is what ``repro-plc ... --trace FILE`` writes.
+worker replaced).  When the run writes a trace file, the same
+:class:`TraceRecorder` also records its *spans* — the timed scopes of
+the run (sweep → point → attempt, chaos episodes, checkpoint saves) —
+as paired ``span_start``/``span_end`` events.  Both kinds share one
+event list, one clock and one ``run_id``, and append to one JSONL file
+(one event object per line): what ``repro-plc ... --trace FILE`` and
+the ``trace.jsonl`` of a ``--telemetry-dir`` hold.
+
+Paired span records (rather than one record at close) are what make
+the file tail-able: a live console shows in-flight spans, and a
+crashed run leaves its open spans visible instead of losing them.
 
 Permanently failed tasks additionally get a structured
 :class:`TaskFailure` record (collected on
@@ -16,18 +24,21 @@ exactly which points were lost, after how many attempts, and why.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from ..obs.recording import JsonlEventLog
+from ..telemetry.context import new_run_id, new_span_id
 
 __all__ = ["TaskEvent", "TaskFailure", "TraceRecorder"]
 
 
 @dataclasses.dataclass(frozen=True)
 class TaskEvent:
-    """One lifecycle transition of one task (or of the run itself).
+    """One lifecycle transition of one task (or of the run itself), or
+    one end of a span.
 
     ``t_s`` is seconds since the recorder was created — a single
     monotonic origin for the whole trace, so event ordering and
@@ -43,9 +54,11 @@ class TaskEvent:
     #: events (``run_start``, ``pool_rebuild``, ...).
     task_index: Optional[int] = None
     kind: Optional[str] = None
-    #: Failed attempts before this one (0 = first execution).
-    attempt: int = 0
-    #: Wall-clock seconds the task spent executing (``finished`` only).
+    #: Failed attempts before this one (0 = first execution); ``None``
+    #: on span events.
+    attempt: Optional[int] = 0
+    #: Wall-clock seconds the task spent executing (``finished``), or
+    #: the span lasted (``span_end``).
     duration_s: Optional[float] = None
     #: PID of the worker process that executed the task.
     worker_pid: Optional[int] = None
@@ -56,9 +69,16 @@ class TaskEvent:
     run_id: Optional[str] = None
     span_id: Optional[str] = None
     parent_id: Optional[str] = None
-    #: Wall-clock epoch seconds of the recorder's ``t_s = 0`` origin;
-    #: emitted on ``run_start`` so cross-process merges share an axis.
+    #: Wall-clock epoch seconds: of the recorder's ``t_s = 0`` origin
+    #: on ``run_start``, of the span's start on ``span_start``, so
+    #: cross-process merges share an axis.
     epoch_s: Optional[float] = None
+    #: Span events only: the span's name, its closing status (``ok``,
+    #: ``error``, ``aborted``) and the attributes it was opened or
+    #: closed with.
+    name: Optional[str] = None
+    status: Optional[str] = None
+    attrs: Optional[Dict[str, Any]] = None
 
     def as_jsonable(self) -> Dict[str, Any]:
         return {
@@ -66,6 +86,11 @@ class TaskEvent:
             for key, value in dataclasses.asdict(self).items()
             if value is not None
         }
+
+
+#: The :class:`TaskEvent` fields, what :meth:`TraceRecorder.adopt`
+#: keeps of a foreign record.
+_EVENT_FIELDS = tuple(field.name for field in dataclasses.fields(TaskEvent))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,6 +135,17 @@ class TraceRecorder(JsonlEventLog):
     Every event is stamped with the recorder's ``run_id``; the
     ``epoch_s`` wall-clock anchor of the ``t_s = 0`` origin goes out on
     ``run_start`` events (see :meth:`record_run_start`).
+
+    Spans are recorded on the same list (:meth:`start`, :meth:`end`,
+    :meth:`span`) — the protocol the ambient
+    :class:`~repro.telemetry.context.TelemetryContext` records through:
+
+    >>> recorder = TraceRecorder(run_id="r" * 16)
+    >>> with recorder.span("sweep", points=3) as sweep_id:
+    ...     with recorder.span("point", parent_id=sweep_id):
+    ...         pass
+    >>> [e.event for e in recorder.events]
+    ['span_start', 'span_start', 'span_end', 'span_end']
     """
 
     def __init__(self, run_id: Optional[str] = None) -> None:
@@ -117,11 +153,9 @@ class TraceRecorder(JsonlEventLog):
         self._t0 = time.perf_counter()
         #: Wall-clock anchor of ``t_s = 0``.
         self.epoch_s = time.time() - (time.perf_counter() - self._t0)
-        if run_id is None:
-            from ..telemetry.context import new_run_id
-
-            run_id = new_run_id()
-        self.run_id = run_id
+        self.run_id = run_id if run_id is not None else new_run_id()
+        #: Open spans: span_id -> (name, start t_s).
+        self._open: Dict[str, Any] = {}
 
     def record(self, event: str, **fields: Any) -> TaskEvent:
         fields.setdefault("run_id", self.run_id)
@@ -139,3 +173,80 @@ class TraceRecorder(JsonlEventLog):
     def of_kind(self, event: str) -> List[TaskEvent]:
         """Events with the given ``event`` name, in record order."""
         return [e for e in self.events if e.event == event]
+
+    # -- spans ---------------------------------------------------------------
+
+    def start(
+        self, name: str, parent_id: Optional[str] = None, **attrs: Any
+    ) -> str:
+        """Open a span; returns its id."""
+        span_id = new_span_id()
+        t_s = time.perf_counter() - self._t0
+        self.append(
+            TaskEvent(
+                event="span_start",
+                t_s=t_s,
+                attempt=None,
+                run_id=self.run_id,
+                span_id=span_id,
+                parent_id=parent_id,
+                epoch_s=self.epoch_s + t_s,
+                name=name,
+                attrs=attrs or None,
+            )
+        )
+        self._open[span_id] = (name, t_s)
+        return span_id
+
+    def end(self, span_id: str, status: str = "ok", **attrs: Any) -> None:
+        """Close a span; unknown/already-closed ids are ignored."""
+        opened = self._open.pop(span_id, None)
+        if opened is None:
+            return
+        name, started = opened
+        t_s = time.perf_counter() - self._t0
+        self.append(
+            TaskEvent(
+                event="span_end",
+                t_s=t_s,
+                attempt=None,
+                duration_s=t_s - started,
+                run_id=self.run_id,
+                span_id=span_id,
+                name=name,
+                status=status,
+                attrs=attrs or None,
+            )
+        )
+
+    @contextlib.contextmanager
+    def span(
+        self, name: str, parent_id: Optional[str] = None, **attrs: Any
+    ) -> Iterator[str]:
+        """Record one span around the body; yields its id, and closes
+        it with ``status="error"`` on an exception."""
+        span_id = self.start(name, parent_id=parent_id, **attrs)
+        try:
+            yield span_id
+        except BaseException:
+            self.end(span_id, status="error")
+            raise
+        self.end(span_id)
+
+    def open_spans(self) -> List[str]:
+        """Ids of spans started but not yet ended, in start order."""
+        return list(self._open)
+
+    def adopt(self, records: List[Dict[str, Any]]) -> int:
+        """Append span records produced elsewhere (a worker process).
+
+        The records keep their own ids and timestamps, so adoption is
+        a plain append that ``flush_jsonl`` persists with everything
+        else.  Only :class:`TaskEvent` fields are kept; a missing one
+        is left off the line.  Returns how many were adopted.
+        """
+        for record in records:
+            self.append(
+                TaskEvent(**{key: record.get(key) for key in _EVENT_FIELDS})
+            )
+        return len(records)

@@ -98,6 +98,19 @@ def _hold_seconds(value: Any) -> Optional[float]:
     return min(max(seconds, 0.0), MAX_HOLD_S)
 
 
+def _span_records(value: Any) -> bool:
+    """Whether a commit's ``spans`` is a list of span records — dicts
+    whose ``event`` is ``span_start``/``span_end`` and whose
+    ``span_id`` is a string — which
+    :meth:`~repro.runner.telemetry.TraceRecorder.adopt` takes as is."""
+    return isinstance(value, list) and all(
+        isinstance(record, dict)
+        and record.get("event") in ("span_start", "span_end")
+        and isinstance(record.get("span_id"), str)
+        for record in value
+    )
+
+
 class _Hold:
     """One exchange's hold: the client's socket and the seconds spent
     parked, which the access log and the latency histogram keep apart
@@ -524,7 +537,7 @@ class ServiceHTTPServer:
             return 304, None, {"ETag": etag}
         with orch.lock:
             payload = {
-                "serving": not orch.closed,
+                "serving": orch.serving,
                 "draining": orch.draining,
                 "counts": orch.state.counts(),
                 "queue_depth": orch.state.queue_depth,
@@ -598,13 +611,16 @@ class ServiceHTTPServer:
             return 400, {"error": "worker_id required"}, {}
         if not isinstance(result, dict):
             return 400, {"error": "result dict required"}, {}
+        spans = body.get("spans")
+        if spans is not None and not _span_records(spans):
+            return 400, {"error": "spans must be a list of span records"}, {}
         status = self.orchestrator.remote_complete(
             task_id,
             worker_id,
             result,
             elapsed_s=body.get("elapsed_s"),
             worker_pid=body.get("worker_pid"),
-            spans=body.get("spans"),
+            spans=spans,
         )
         if status == "unknown":
             return 404, {"error": f"unknown task {task_id}"}, {}

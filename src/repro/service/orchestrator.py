@@ -81,7 +81,6 @@ from ..runner.workers import (
     WorkerPlane,
 )
 from ..telemetry.openmetrics import write_openmetrics
-from ..telemetry.spans import SpanRecorder
 from .journal import JOURNAL_FILENAME, JournalWriter
 from .quarantine import QUARANTINE_DIRNAME, write_quarantine_record
 from .signals import handle_signals
@@ -239,8 +238,8 @@ class Orchestrator:
         self.state: ServiceState = fold_journal(self.paths.journal)
         #: Whether an earlier incarnation left records to recover from.
         self._resumed = self.state.records > 0
+        #: This incarnation's event stream: lifecycle events and spans.
         self.trace = TraceRecorder()
-        self.spans = SpanRecorder(run_id=self.trace.run_id)
         #: Every lease this incarnation granted, local or remote.
         self._leases: Dict[str, _Lease] = {}
         #: The local worker processes; the plane judges their leases.
@@ -273,6 +272,10 @@ class Orchestrator:
         #: Set once the journal is closed; every mutating HTTP route
         #: refuses after this point.
         self.closed = False
+        #: True from the moment :meth:`serve` has journaled this
+        #: incarnation's start and recovered the previous one's leases
+        #: until the journal closes — what ``GET /v1/status`` reports.
+        self.serving = False
         #: The signal that triggered the drain, if any (``repro-plc
         #: serve`` exits ``128 + signum`` so supervisors see SIGTERM
         #: drains as 143, per convention).
@@ -317,16 +320,17 @@ class Orchestrator:
             tasks=len(self.state.tasks),
             corrupt_records=self.state.corrupt_records,
         )
-        self._sweep_span = self.spans.start(
+        self._sweep_span = self.trace.start(
             "service", workers=cfg.max_workers, resumed=resumed
         )
         self.trace.record_run_start(
             detail=f"service tasks={len(self.state.tasks)}",
             span_id=self._sweep_span,
         )
-        if resumed:
-            with self.lock:
+        with self.lock:
+            if resumed:
                 self._recover()
+            self.serving = True
         drained = False
         idle_since: Optional[float] = None
         try:
@@ -373,13 +377,14 @@ class Orchestrator:
                 span_id=self._sweep_span,
                 detail=f"counts={self.state.counts()}",
             )
-            for open_id in self.spans.open_spans():
+            for open_id in self.trace.open_spans():
                 if open_id != self._sweep_span:
-                    self.spans.end(open_id, status="aborted")
-            self.spans.end(self._sweep_span)
+                    self.trace.end(open_id, status="aborted")
+            self.trace.end(self._sweep_span)
             self._flush_telemetry()
             with self.lock:
                 self.closed = True
+                self.serving = False
                 self.journal.close()
             try:
                 self.paths.pid_file.unlink()
@@ -650,7 +655,7 @@ class Orchestrator:
         is pending again, with no attempt consumed."""
         del self._leases[lease.task_id]
         if lease.span_id:
-            self.spans.end(lease.span_id, status="aborted")
+            self.trace.end(lease.span_id, status="aborted")
 
     def _record_failure(
         self,
@@ -679,7 +684,7 @@ class Orchestrator:
             worker=lease.worker_id,
         )
         if lease.span_id:
-            self.spans.end(lease.span_id, status="error")
+            self.trace.end(lease.span_id, status="error")
         if attempt > self.config.max_retries:
             record_path = write_quarantine_record(
                 self.paths.quarantine,
@@ -735,7 +740,7 @@ class Orchestrator:
                 return None
             task_id = record.task_id
             attempt = record.attempts
-            span_id = self.spans.start(
+            span_id = self.trace.start(
                 "point",
                 parent_id=self._sweep_span,
                 task_id=task_id,
@@ -831,7 +836,7 @@ class Orchestrator:
             )
             lease = self._leases.pop(task_id, None)
             if spans:
-                self.spans.adopt(spans)
+                self.trace.adopt(spans)
             self.trace.record(
                 "finished",
                 task_index=self._task_index(task_id),
@@ -842,7 +847,7 @@ class Orchestrator:
                 span_id=lease.span_id if lease else None,
             )
             if lease and lease.span_id:
-                self.spans.end(lease.span_id, status="ok")
+                self.trace.end(lease.span_id, status="ok")
             return "committed"
 
     def remote_fail(
@@ -937,7 +942,6 @@ class Orchestrator:
         try:
             telemetry.mkdir(parents=True, exist_ok=True)
             self.trace.flush_jsonl(telemetry / "trace.jsonl")
-            self.spans.flush_jsonl(telemetry / "spans.jsonl")
             write_openmetrics(
                 telemetry / "metrics.prom", run_id=self.trace.run_id
             )

@@ -1,13 +1,15 @@
-"""Unified run telemetry: spans, metric export, live console.
+"""Unified run telemetry: correlation, metric export, live console.
 
-The correlation layer over every JSONL stream the repo writes:
+The correlation layer over every JSONL stream the repo writes.  A
+run's own stream — lifecycle events and the sweep → point → attempt →
+episode spans, as paired ``span_start``/``span_end`` records — is one
+:class:`~repro.runner.telemetry.TraceRecorder` flushed to one
+``trace.jsonl``; the modules here stamp, export and fold it:
 
 - :mod:`repro.telemetry.context` — the ambient ``run_id``/``span_id``
-  context that JSONL writers stamp on their lines (zero-cost when no
-  run is active; propagated to worker processes by the runner);
-- :mod:`repro.telemetry.spans` — :class:`SpanRecorder`, persisting the
-  sweep → point → attempt → episode hierarchy as paired
-  ``span_start``/``span_end`` JSONL records;
+  context that JSONL writers stamp on their lines and :func:`span`
+  records through (zero-cost when no run is active; propagated to
+  worker processes by the runner);
 - :mod:`repro.telemetry.openmetrics` — the Prometheus/OpenMetrics text
   renderer for :class:`~repro.obs.registry.MetricsRegistry` and
   :class:`~repro.core.metrics.RunnerCounters` (``repro-plc metrics``);
@@ -22,14 +24,12 @@ The correlation layer over every JSONL stream the repo writes:
 from .context import (
     TelemetryContext,
     activate,
-    active_context,
     current,
     current_ids,
     new_run_id,
     new_span_id,
     span,
 )
-from .spans import SpanRecorder, load_spans
 from .openmetrics import (
     render_openmetrics,
     render_runner_counters,
@@ -43,14 +43,11 @@ from .report import build_report, format_report
 __all__ = [
     "TelemetryContext",
     "activate",
-    "active_context",
     "current",
     "current_ids",
     "new_run_id",
     "new_span_id",
     "span",
-    "SpanRecorder",
-    "load_spans",
     "render_openmetrics",
     "render_runner_counters",
     "validate_openmetrics",

@@ -1,13 +1,13 @@
 """The live sweep console behind ``repro-plc top``.
 
-:class:`SweepStatus` folds the runner's task-lifecycle trace records
-(and, when available, the span stream) into the live counters an
-operator wants while a sweep runs: per-kind progress, retry / timeout /
-cache-hit rates, an ETA extrapolated from completed-task throughput,
-and the chaos episodes currently open.  :func:`render_status` turns one
-status into a text frame; :func:`follow` drives the poll → fold →
-render loop over :class:`~repro.telemetry.tail.JsonlTailer` instances,
-so the console inherits their rotation/truncation safety.
+:class:`SweepStatus` folds a run's trace — its task-lifecycle events
+and its spans, one stream — into the live counters an operator wants
+while a sweep runs: per-kind progress, retry / timeout / cache-hit
+rates, an ETA extrapolated from completed-task throughput, and the
+chaos episodes currently open.  :func:`render_status` turns one status
+into a text frame; :func:`follow` drives the poll → fold → render loop
+over a :class:`~repro.telemetry.tail.JsonlTailer`, so the console
+inherits its rotation/truncation safety.
 
 The aggregator is pure with respect to its inputs — it never touches
 the filesystem — which is what the truncation/rotation tests and the
@@ -55,7 +55,8 @@ class KindStats:
 
 
 class SweepStatus:
-    """Fold trace/span records into a live view of the sweep."""
+    """Fold trace records (lifecycle events and spans) into a live view
+    of the sweep."""
 
     def __init__(self) -> None:
         self.run_id: Optional[str] = None
@@ -79,7 +80,7 @@ class SweepStatus:
         return stats
 
     def update(self, record: Dict[str, Any]) -> None:
-        """Fold one trace or span record."""
+        """Fold one lifecycle or span record."""
         event = record.get("event")
         if event in ("span_start", "span_end"):
             self._update_span(event, record)
@@ -277,28 +278,24 @@ def render_status(status: SweepStatus) -> str:
 
 def follow(
     trace_path: Union[str, Path],
-    spans_path: Optional[Union[str, Path]] = None,
     interval_s: float = 1.0,
     once: bool = False,
     emit: Callable[[str], None] = print,
     max_frames: Optional[int] = None,
     clear: bool = True,
 ) -> SweepStatus:
-    """Tail the trace (and optionally spans), rendering frames via
-    ``emit`` until the run ends (or forever without a ``run_end``).
+    """Tail a run's trace, rendering frames via ``emit`` until the run
+    ends (or forever without a ``run_end``).
 
     ``once=True`` reads whatever exists right now, renders a single
     frame, and returns — the CI mode, also correct for finished runs.
     """
     status = SweepStatus()
-    tailers = [JsonlTailer(trace_path)]
-    if spans_path is not None:
-        tailers.append(JsonlTailer(spans_path))
+    tailer = JsonlTailer(trace_path)
     frames = 0
     try:
         while True:
-            for tailer in tailers:
-                status.update_all(tailer.poll())
+            status.update_all(tailer.poll())
             frame = render_status(status)
             if clear and not once and frames > 0:
                 emit("\x1b[2J\x1b[H" + frame)
@@ -311,6 +308,5 @@ def follow(
                 break
             time.sleep(interval_s)
     finally:
-        for tailer in tailers:
-            tailer.close()
+        tailer.close()
     return status

@@ -2,10 +2,12 @@
 
 Correlation across every JSONL family the repo writes (runner task
 lifecycle, obs MAC/SoF traces, chaos injection ledgers, checkpoint
-journals) hinges on one mechanism: while a telemetry-enabled run is
-executing, a :class:`TelemetryContext` is *active*, and every JSONL
-writer asks :func:`current_ids` for the ``run_id``/``span_id`` pair to
-stamp on its lines.
+journals) hinges on one mechanism: while a run that writes a trace
+file is executing, a :class:`TelemetryContext` is *active*, and every
+JSONL writer asks :func:`current_ids` for the ``run_id``/``span_id``
+pair to stamp on its lines.  The context's recorder is the run's own
+:class:`~repro.runner.telemetry.TraceRecorder`, so the spans
+:func:`span` opens land in the run's one event stream.
 
 Design constraints, in order:
 
@@ -34,7 +36,6 @@ from typing import Any, Dict, Iterator, List, Optional
 __all__ = [
     "TelemetryContext",
     "activate",
-    "active_context",
     "current",
     "current_ids",
     "new_run_id",
@@ -56,10 +57,11 @@ def new_span_id() -> str:
 class TelemetryContext:
     """One run's correlation state: ids plus an optional span recorder.
 
-    ``recorder`` is any object with the
-    :class:`repro.telemetry.spans.SpanRecorder` start/end protocol;
-    when absent, :func:`span` still maintains the ``span_id`` ids (so
-    JSONL annotation keeps working) without recording span events.
+    ``recorder`` is any object with the start/end span protocol of
+    :class:`repro.runner.telemetry.TraceRecorder` — the run's own
+    event stream; when absent, :func:`span` still maintains the
+    ``span_id`` ids (so JSONL annotation keeps working) without
+    recording span events.
     """
 
     __slots__ = ("run_id", "span_id", "recorder")
@@ -112,11 +114,6 @@ def activate(context: TelemetryContext) -> Iterator[TelemetryContext]:
             if _STACK[index] is context:
                 del _STACK[index]
                 break
-
-
-#: Back-compat alias: ``active_context`` reads better at call sites
-#: that treat the activation as a scope rather than an action.
-active_context = activate
 
 
 @contextlib.contextmanager

@@ -1,8 +1,8 @@
 """Post-hoc run summaries behind ``repro-plc report RUN_DIR``.
 
 Given a telemetry directory (the ``--telemetry-dir`` of a finished —
-or crashed — run, holding ``trace.jsonl`` and ``spans.jsonl``), build
-one report object with:
+or crashed — run, holding its ``trace.jsonl``: lifecycle events and
+spans in one stream), build one report object with:
 
 - the **span tree** (run → point → attempt → chaos/checkpoint scopes),
   with durations, statuses, and still-open spans marked (a crashed run
@@ -26,24 +26,17 @@ from typing import Any, Dict, List, Optional, Union
 from ..obs.recording import read_jsonl
 from .console import SweepStatus
 
-__all__ = ["build_report", "format_report", "TRACE_FILENAME", "SPANS_FILENAME"]
+__all__ = ["build_report", "format_report", "TRACE_FILENAME"]
 
-#: Canonical file names inside a ``--telemetry-dir``.
+#: The run's one event file inside a ``--telemetry-dir``.
 TRACE_FILENAME = "trace.jsonl"
-SPANS_FILENAME = "spans.jsonl"
-
-
-def _load_optional(path: Path) -> List[Dict[str, Any]]:
-    if not path.exists():
-        return []
-    return read_jsonl(path)
 
 
 def _build_span_nodes(
-    spans: List[Dict[str, Any]]
+    records: List[Dict[str, Any]]
 ) -> Dict[str, Dict[str, Any]]:
     nodes: Dict[str, Dict[str, Any]] = {}
-    for record in spans:
+    for record in records:
         span_id = record.get("span_id")
         if not span_id:
             continue
@@ -129,21 +122,17 @@ def _critical_path(root: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 
 def build_report(
-    run_dir: Union[str, Path],
-    trace_filename: str = TRACE_FILENAME,
-    spans_filename: str = SPANS_FILENAME,
-    slowest: int = 10,
+    run_dir: Union[str, Path], slowest: int = 10
 ) -> Dict[str, Any]:
     """One JSON-able report for a run directory."""
     run_dir = Path(run_dir)
-    trace = _load_optional(run_dir / trace_filename)
-    spans = _load_optional(run_dir / spans_filename)
+    path = run_dir / TRACE_FILENAME
+    trace = read_jsonl(path) if path.exists() else []
 
     status = SweepStatus()
     status.update_all(trace)
-    status.update_all(spans)
 
-    nodes = _build_span_nodes(spans)
+    nodes = _build_span_nodes(trace)
     roots = _link_children(nodes)
 
     finished = [

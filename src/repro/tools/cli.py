@@ -47,7 +47,7 @@ Subcommands map to the paper's artifacts:
   any invariant is violated.  ``--recovery`` instead measures
   baseline → fault → recovery collision probabilities and exits
   non-zero unless the MAC re-converges;
-- ``top`` — the live sweep console: tail a run's trace/span JSONL
+- ``top`` — the live sweep console: tail a run's trace JSONL
   (``--telemetry-dir`` of a running sweep) and render per-kind
   progress, retry/timeout/cache-hit rates, ETA and active chaos
   episodes; ``--once`` renders a single frame (also correct for
@@ -66,7 +66,8 @@ points on disk; results are bit-identical for any ``--workers`` value.
 Long sweeps survive faults with ``--retries K`` (re-run a crashed
 point up to ``K`` times, same seed — retry cannot change the numbers)
 and ``--task-timeout S`` (kill points hung longer than ``S`` seconds);
-``--trace FILE`` appends the per-task lifecycle trace as JSONL.
+``--trace FILE`` appends the run's lifecycle events and spans to one
+JSONL file as the run goes.
 ``--checkpoint-dir DIR`` snapshots every long point's full simulation
 state under ``DIR/<cache_key>/`` as it runs (cadence via
 ``--checkpoint-every-us``), so a crashed or killed point resumes from
@@ -150,7 +151,8 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
         type=str,
         default=None,
         metavar="FILE",
-        help="append the per-task lifecycle trace to FILE as JSONL",
+        help="append the run's lifecycle events and spans to FILE as "
+        "JSONL, as the run goes",
     )
     parser.add_argument(
         "--checkpoint-dir",
@@ -180,8 +182,8 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
         type=str,
         default=None,
         metavar="DIR",
-        help="write full run telemetry (trace.jsonl, spans.jsonl, "
-        "metrics.prom) under DIR — the input of 'repro-plc top' and "
+        help="write full run telemetry (trace.jsonl, metrics.prom) "
+        "under DIR — the input of 'repro-plc top' and "
         "'repro-plc report' (default: off)",
     )
 
@@ -295,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--telemetry-dir", type=str, default=None, metavar="DIR",
-        help="write run telemetry (trace.jsonl, spans.jsonl, "
-        "metrics.prom) under DIR (default: off)",
+        help="write run telemetry (trace.jsonl, metrics.prom) under "
+        "DIR (default: off)",
     )
 
     cache = sub.add_parser(
@@ -690,18 +692,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = sub.add_parser(
         "top",
-        help="live sweep console: tail a run's trace/span JSONL and "
+        help="live sweep console: tail a run's trace JSONL and "
         "render progress, rates, ETA and active chaos episodes",
     )
     top.add_argument(
         "path",
         help="telemetry directory of the run (a --telemetry-dir), or "
         "a trace JSONL file directly (a --trace FILE)",
-    )
-    top.add_argument(
-        "--spans", type=str, default=None, metavar="FILE",
-        help="span JSONL to fold in (default: spans.jsonl next to a "
-        "directory path; none for a bare trace file)",
     )
     top.add_argument(
         "--interval", type=float, default=1.0, metavar="SECONDS",
@@ -729,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument(
         "run_dir",
-        help="telemetry directory holding trace.jsonl / spans.jsonl",
+        help="telemetry directory holding trace.jsonl",
     )
     report.add_argument(
         "--slowest", type=int, default=10, metavar="N",
@@ -1735,28 +1732,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _telemetry_paths(path_arg: str, spans_arg: Optional[str]):
-    """Resolve a ``top`` path argument to ``(trace, spans)`` paths."""
-    from pathlib import Path
-
-    from ..telemetry.report import SPANS_FILENAME, TRACE_FILENAME
-
-    path = Path(path_arg)
-    if path.is_dir():
-        trace = path / TRACE_FILENAME
-        # Tailers tolerate a not-yet-created spans file, so always
-        # fold it in for directory inputs.
-        spans = Path(spans_arg) if spans_arg else path / SPANS_FILENAME
-        return trace, spans
-    return path, (Path(spans_arg) if spans_arg else None)
-
-
 def _cmd_top(args: argparse.Namespace) -> int:
     import json
+    from pathlib import Path
 
     from ..telemetry.console import follow
+    from ..telemetry.report import TRACE_FILENAME
 
-    trace, spans = _telemetry_paths(args.path, args.spans)
+    trace = Path(args.path)
+    if trace.is_dir():
+        trace = trace / TRACE_FILENAME
     if not trace.exists() and not args.once and args.frames is None:
         print(f"no trace at {trace} (is the sweep running with "
               f"--telemetry-dir or --trace?)")
@@ -1764,7 +1749,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     emit = (lambda frame: None) if args.json else print
     status = follow(
         trace,
-        spans_path=spans,
         interval_s=args.interval,
         once=args.once,
         max_frames=args.frames,
@@ -1783,7 +1767,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     report = build_report(args.run_dir, slowest=args.slowest)
     if not report["summary"]["run_id"] and not report["span_tree"]:
         print(f"no telemetry found under {args.run_dir} "
-              f"(expected trace.jsonl and/or spans.jsonl)")
+              f"(expected trace.jsonl)")
         return 1
     if args.json == "-":
         print(json.dumps(report, indent=2))

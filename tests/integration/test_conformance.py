@@ -40,7 +40,7 @@ from repro.service import (
     fold_journal,
     write_submission,
 )
-from repro.service.net import AllHostsUnreachable, http_json, serve_http
+from repro.service.net import http_json, serve_http
 from repro.service.orchestrator import ServicePaths
 from repro.service.submit import standard_sweep_tasks
 from tests.integration.test_golden_table2 import (
@@ -148,14 +148,7 @@ def _run_http(root, server_env, worker_env):
         try:
             client = support.wait_serving(port, server)
             if client is not None:
-                try:
-                    client.submit(build_submission(TASKS))
-                except AllHostsUnreachable:
-                    # The front end answers before the orchestrator
-                    # writes its first record, where journal_append may
-                    # kill it; its exit code is checked below.
-                    client = None
-            if client is not None:
+                client.submit(build_submission(TASKS))
                 worker = work()
                 while server.poll() is None:
                     if worker.poll() not in (None, 0):

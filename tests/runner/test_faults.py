@@ -371,9 +371,21 @@ class TestTelemetry:
             json.loads(line)
             for line in trace_path.read_text().splitlines()
         ]
-        kinds = [event["event"] for event in events]
+        kinds = [
+            event["event"]
+            for event in events
+            if event["event"] not in ("span_start", "span_end")
+        ]
         assert kinds[0] == "run_start" and kinds[-1] == "run_end"
         assert "retried" in kinds
+        # A trace file alone carries the run's spans: the sweep span
+        # encloses the run's lifecycle events.
+        assert (events[0]["event"], events[0]["name"]) == (
+            "span_start", "sweep"
+        )
+        assert (events[-1]["event"], events[-1]["name"]) == (
+            "span_end", "sweep"
+        )
         finished = [e for e in events if e["event"] == "finished"]
         assert len(finished) == runner.counters.executed
         assert all("worker_pid" in e and "t_s" in e for e in finished)

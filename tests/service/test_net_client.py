@@ -104,7 +104,9 @@ class TestRequestLoop:
         with serve_http(orch, ":0") as server:
             client = _fast_client(["http://127.0.0.1:9", server.url])
             doc = client.service_status()
-            assert doc["serving"] is True
+            # The healthy host answered (no serve loop runs, so it
+            # reports serving: false).
+            assert doc["run_id"] == orch.trace.run_id
             # The answering host becomes sticky-preferred.
             assert client._preferred == server.url
         orch.journal.close()
@@ -121,7 +123,7 @@ class TestRequestLoop:
             assert not client.breakers["http://127.0.0.1:9"].allow()
             # Subsequent requests never touch the dead host again
             # (inside the cooldown) and still succeed.
-            assert client.service_status()["serving"] is True
+            assert client.service_status()["run_id"] == orch.trace.run_id
         orch.journal.close()
 
 

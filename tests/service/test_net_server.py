@@ -173,7 +173,8 @@ class TestStatusRoutes:
         orch, server = front
         status, doc, headers = http_json("GET", server.url + "/v1/status")
         assert status == 200
-        assert doc["serving"] is True
+        # No serve loop has started: bound, but not serving yet.
+        assert doc["serving"] is False
         assert doc["draining"] is False
         assert doc["run_id"] == orch.trace.run_id
         # /v1/status is a poll target too: it honours If-None-Match.
@@ -182,6 +183,25 @@ class TestStatusRoutes:
             "GET", server.url + "/v1/status", etag=etag
         )
         assert status == 304
+
+    def test_serving_only_while_the_serve_loop_runs(self, front):
+        orch, server = front
+        url = server.url + "/v1/status"
+        doc = http_json("GET", url)[1]
+        assert (doc["serving"], doc["journal_seq"]) == (False, 0)
+        loop = threading.Thread(target=orch.serve, daemon=True)
+        loop.start()
+        deadline = time.monotonic() + 30
+        while not http_json("GET", url)[1]["serving"]:
+            assert time.monotonic() < deadline, "never served"
+            time.sleep(0.01)
+        # Serving means this incarnation's start is journaled.
+        (first, *_) = read_jsonl(orch.paths.journal)
+        assert first["event"] == "service_start"
+        orch.paths.drain_marker.touch()
+        loop.join(timeout=30)
+        assert not loop.is_alive()
+        assert http_json("GET", url)[1]["serving"] is False
 
     def test_unknown_route_404(self, front):
         _orch, server = front
@@ -251,6 +271,52 @@ class TestRemoteExecution:
         # The retried (lost-ack) commit is answered "duplicate".
         _s, doc2, _ = http_json("POST", url, body=body)
         assert doc2["status"] == "duplicate"
+
+    def test_commit_with_malformed_spans_is_400_and_journals_nothing(
+        self, front
+    ):
+        orch, server = front
+        http_json(
+            "POST", server.url + "/v1/sweeps", body=build_submission(_tasks(1))
+        )
+        _s, shard, _ = http_json(
+            "POST", server.url + "/v1/claims", body={"worker_id": "w1"}
+        )
+        from repro.runner.tasks import run_task
+        from repro.runner.workers import task_from_description
+
+        envelope = run_task(task_from_description(shard["task"]))
+        body = {"worker_id": "w1", "result": envelope["result"]}
+        url = server.url + f"/v1/tasks/{shard['task_id']}/result"
+        seq = orch.journal.seq
+        for spans in (
+            "abc",
+            {"event": "span_start", "span_id": "a"},
+            [1],
+            [{"event": "queued", "span_id": "a"}],
+            [{"event": "span_end", "span_id": 7}],
+        ):
+            status, doc, _ = http_json(
+                "POST", url, body=dict(body, spans=spans)
+            )
+            assert status == 400, (spans, doc)
+        assert orch.journal.seq == seq
+        assert orch.cache.get(shard["task_id"]) is None
+        assert orch.state.tasks[shard["task_id"]].state == TaskState.LEASED
+        # Any list of span records is adopted, however sparse or odd.
+        spans = [
+            {"event": "span_start", "span_id": "b" * 16},
+            {"event": "span_end", "span_id": "b" * 16, "t_s": "late",
+             "extra": [1]},
+        ]
+        _s, doc, _ = http_json("POST", url, body=dict(body, spans=spans))
+        assert doc["status"] == "committed"
+        assert len(orch.trace.of_kind("finished")) == 1
+        adopted = [e.as_jsonable() for e in orch.trace.events[-4:-2]]
+        assert adopted == [
+            {"event": "span_start", "span_id": "b" * 16},
+            {"event": "span_end", "span_id": "b" * 16, "t_s": "late"},
+        ]
 
     def test_heartbeat_409_after_reclaim(self, front):
         orch, server = front

@@ -62,6 +62,11 @@ def _serve(service_dir, **overrides):
     return orchestrator, state
 
 
+def _trace_lines(service_dir):
+    path = ServicePaths(service_dir).telemetry / "trace.jsonl"
+    return path.read_text(encoding="utf-8").splitlines()
+
+
 class TestHappyPath:
     def test_sweep_completes_bit_identical_to_runner(self, tmp_path):
         tasks = [_sim_task(n, point=i) for i, n in enumerate((2, 3))]
@@ -103,8 +108,12 @@ class TestHappyPath:
         events = {record["event"] for record in trace}
         assert {"run_start", "queued", "started", "finished", "run_end"} \
             <= events
-        assert (telemetry / "spans.jsonl").is_file()
-        assert (telemetry / "metrics.prom").is_file()
+        # One stream: the spans share the trace file.
+        assert {"span_start", "span_end"} <= events
+        assert sorted(p.name for p in telemetry.iterdir()) == [
+            "metrics.prom",
+            "trace.jsonl",
+        ]
         from repro.telemetry.console import SweepStatus
 
         status = SweepStatus()
@@ -117,12 +126,9 @@ class TestHappyPath:
         _submit(tmp_path / "svc", [_sim_task()])
         _serve(tmp_path / "svc")
         spans = [
-            json.loads(line)
-            for line in (
-                ServicePaths(tmp_path / "svc").telemetry / "spans.jsonl"
-            )
-            .read_text(encoding="utf-8")
-            .splitlines()
+            record
+            for record in map(json.loads, _trace_lines(tmp_path / "svc"))
+            if record["event"] in ("span_start", "span_end")
         ]
         names = {s["name"] for s in spans}
         assert {"service", "point", "attempt"} <= names
@@ -131,10 +137,9 @@ class TestHappyPath:
         # sweep -> point -> attempt, as in the runner's span tree.
         _submit(tmp_path / "svc", [_sim_task(2), _sim_task(3, point=1)])
         _serve(tmp_path / "svc")
-        spans = ServicePaths(tmp_path / "svc").telemetry / "spans.jsonl"
         starts = {
             record["span_id"]: record
-            for record in map(json.loads, spans.read_text().splitlines())
+            for record in map(json.loads, _trace_lines(tmp_path / "svc"))
             if record["event"] == "span_start"
         }
         attempts = [s for s in starts.values() if s["name"] == "attempt"]

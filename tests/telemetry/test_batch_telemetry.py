@@ -11,9 +11,13 @@ import json
 
 from repro.core import ScenarioConfig
 from repro.runner import BatchRunner
+from repro.runner import batch as batch_module
+from repro.runner.tasks import run_packed
+from repro.telemetry.context import current
 from repro.telemetry.openmetrics import validate_openmetrics
 
 SIM_TIME_US = 1e5
+SPAN_EVENTS = ("span_start", "span_end")
 
 
 def _scenarios():
@@ -36,10 +40,11 @@ def test_batch_run_emits_correlated_telemetry(tmp_path):
     runner = BatchRunner(telemetry_dir=tel)
     runner.run_scenarios(scenarios, root_seed=3)
 
-    trace = _read_jsonl(tel / "trace.jsonl")
-    spans = _read_jsonl(tel / "spans.jsonl")
+    records = _read_jsonl(tel / "trace.jsonl")
+    spans = [r for r in records if r["event"] in SPAN_EVENTS]
+    trace = [r for r in records if r["event"] not in SPAN_EVENTS]
     assert trace and spans
-    for record in trace + spans:
+    for record in records:
         assert record["run_id"] == runner.run_id
 
     events = [r["event"] for r in trace]
@@ -94,10 +99,18 @@ def test_batch_results_identical_with_and_without_telemetry(tmp_path):
 
 
 def test_batch_zero_cost_when_disabled(tmp_path, monkeypatch):
-    """No spans recorded and no file written; the in-memory trace is
-    the runner's, as on every ``ExperimentRunner``."""
+    """No span recorded, no context activated and no file written; the
+    in-memory trace is the runner's, as on every ``ExperimentRunner``."""
     monkeypatch.chdir(tmp_path)
+    contexts = []
+
+    def dispatch(tasks):
+        contexts.append(current())
+        return run_packed(tasks)
+
+    monkeypatch.setattr(batch_module, "run_packed", dispatch)
     runner = BatchRunner()
-    assert runner.spans is None
     runner.run_scenarios(_scenarios(), root_seed=5)
+    assert not runner.trace.of_kind("span_start")
+    assert contexts == [None]
     assert not list(tmp_path.rglob("*"))

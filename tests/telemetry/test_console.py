@@ -1,12 +1,15 @@
 """SweepStatus folding, rendering, and the follow() driver."""
 
 import json
+import time
 
+from repro.runner import ExperimentRunner
 from repro.telemetry.console import (
     SweepStatus,
     follow,
     render_status,
 )
+from tests.support import sim_tasks
 
 
 def _trace(run_id="a" * 16):
@@ -125,18 +128,39 @@ class TestFollow:
 
     def test_follow_stops_on_run_end(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
-        spans = tmp_path / "spans.jsonl"
+        span = {"event": "span_start", "span_id": "x", "name": "sweep",
+                "t_s": 0.0}
         with open(trace, "w", encoding="utf-8") as handle:
-            for record in _trace() + [{"event": "run_end", "t_s": 3.0}]:
+            for record in [span] + _trace() + [
+                {"event": "run_end", "t_s": 3.0}
+            ]:
                 handle.write(json.dumps(record) + "\n")
-        with open(spans, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(
-                {"event": "span_start", "span_id": "x", "name": "sweep",
-                 "t_s": 0.0}) + "\n")
         frames = []
-        status = follow(
-            trace, spans_path=spans, interval_s=0.01, emit=frames.append
-        )
+        status = follow(trace, interval_s=0.01, emit=frames.append)
         assert status.run_ended
         assert status.spans_seen == 1
         assert frames
+
+
+class TestLiveFollow:
+    def test_trace_is_appended_while_the_run_goes(self, tmp_path):
+        """``top`` follows a running sweep: completed points reach the
+        trace file before ``run()`` returns."""
+        seen = []
+
+        def progress(done, total):
+            if 0 < done < total:
+                time.sleep(0.6)  # past the 0.5 s flush throttle
+                seen.append(
+                    follow(
+                        tmp_path / "trace.jsonl", once=True,
+                        emit=lambda frame: None,
+                    ).as_dict()
+                )
+
+        runner = ExperimentRunner(progress=progress, telemetry_dir=tmp_path)
+        runner.run(sim_tasks([2, 3, 4], sim_time_us=1e5))
+        live = [s for s in seen if 0 < s["done"] < s["total"]]
+        assert live, seen
+        assert live[-1]["kinds"]["simulate"]["finished"] > 0
+        assert live[-1]["total"] == 3

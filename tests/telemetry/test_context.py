@@ -11,7 +11,7 @@ from repro.telemetry.context import (
     new_span_id,
     span,
 )
-from repro.telemetry.spans import SpanRecorder
+from repro.runner.telemetry import TraceRecorder
 
 
 class TestIds:
@@ -64,7 +64,7 @@ class TestSpanHelper:
         assert current() is None
 
     def test_records_child_span(self):
-        recorder = SpanRecorder(run_id="f" * 16)
+        recorder = TraceRecorder(run_id="f" * 16)
         root = recorder.start("root")
         with activate(TelemetryContext("f" * 16, root, recorder=recorder)):
             with span("child", foo=1) as child_id:
@@ -72,7 +72,7 @@ class TestSpanHelper:
                 # The ambient span becomes the child for the body.
                 assert current().span_id == child_id
             assert current().span_id == root
-        events = [dict(e) for e in recorder.events]
+        events = [e.as_jsonable() for e in recorder.events]
         starts = [e for e in events if e["event"] == "span_start"]
         ends = [e for e in events if e["event"] == "span_end"]
         assert [s["name"] for s in starts] == ["root", "child"]
@@ -81,13 +81,13 @@ class TestSpanHelper:
         assert len(ends) == 1 and ends[0]["status"] == "ok"
 
     def test_error_status_on_exception(self):
-        recorder = SpanRecorder(run_id="f" * 16)
+        recorder = TraceRecorder(run_id="f" * 16)
         root = recorder.start("root")
         with activate(TelemetryContext("f" * 16, root, recorder=recorder)):
             with pytest.raises(ValueError):
                 with span("child"):
                     raise ValueError("nope")
         ends = [
-            dict(e) for e in recorder.events if e["event"] == "span_end"
+            e.as_jsonable() for e in recorder.events if e.event == "span_end"
         ]
         assert ends and ends[-1]["status"] == "error"

@@ -6,9 +6,10 @@ bounds are established deterministically:
 
 1. run a fixed collision-test point once through an uninstrumented
    runner (the baseline wall time) and once through a telemetry-enabled
-   runner, counting every trace/span record it flushes;
+   runner, counting every lifecycle and span record it flushes to its
+   one trace file;
 2. each record corresponds to one guarded emission site, so the record
-   count is the number of ``spans is not None``-shaped guard passes a
+   count is the number of ``span_id is not None``-shaped guard passes a
    telemetry-free run pays for the same work;
 3. micro-benchmark the guard and the actual recording calls (loop
    overhead included, i.e. conservatively high) and assert that
@@ -27,7 +28,7 @@ from repro.core import ScenarioConfig
 from repro.runner import ExperimentRunner, Task, TaskKind
 from repro.runner.seeding import SeedSpec
 from repro.runner.serialize import scenario_to_jsonable
-from repro.telemetry.spans import SpanRecorder
+from repro.obs.recording import read_jsonl
 from repro.runner.telemetry import TraceRecorder
 
 STATIONS = 3
@@ -38,10 +39,10 @@ SEED = 11
 class _Site:
     """Stand-in for a guarded emission site: same shape as the runner."""
 
-    __slots__ = ("spans",)
+    __slots__ = ("span_id",)
 
     def __init__(self):
-        self.spans = None
+        self.span_id = None
 
 
 def _task() -> Task:
@@ -58,20 +59,13 @@ def _task() -> Task:
     )
 
 
-def _count_lines(path) -> int:
-    if not path.exists():
-        return 0
-    with open(path, encoding="utf-8") as handle:
-        return sum(1 for line in handle if line.strip())
-
-
 def _guard_cost_s() -> float:
-    """Seconds per ``spans is not None`` guard, loop overhead included."""
+    """Seconds per ``span_id is not None`` guard, loop overhead included."""
     site = _Site()
     number = 200_000
     return (
         timeit.timeit(
-            "site.spans is not None", globals={"site": site}, number=number
+            "site.span_id is not None", globals={"site": site}, number=number
         )
         / number
     )
@@ -93,7 +87,7 @@ def _record_cost_s() -> float:
 
 def _span_pair_cost_s() -> float:
     """Seconds per start+end span pair, ids and timestamps included."""
-    spans = SpanRecorder(run_id="f" * 16)
+    spans = TraceRecorder(run_id="f" * 16)
     number = 5_000
     return (
         timeit.timeit(
@@ -117,8 +111,11 @@ def test_telemetry_budget_under_5_percent(tmp_path):
     (traced,) = traced_runner.run([_task()])
     assert traced == baseline  # telemetry never perturbs results
 
-    trace_records = _count_lines(telemetry_dir / "trace.jsonl")
-    span_records = _count_lines(telemetry_dir / "spans.jsonl")
+    records = read_jsonl(telemetry_dir / "trace.jsonl")
+    span_records = sum(
+        1 for r in records if r["event"] in ("span_start", "span_end")
+    )
+    trace_records = len(records) - span_records
     assert trace_records > 0 and span_records > 0
     sites = trace_records + span_records
     # Lifecycle telemetry is a handful of records per task — if this

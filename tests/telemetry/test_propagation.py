@@ -1,10 +1,10 @@
 """End-to-end run_id correlation across every JSONL family.
 
-The ISSUE-level acceptance test: one chaos + checkpoint sweep with
-telemetry enabled must leave runner trace, span, obs (MAC/SoF/chaos
-ledger) and checkpoint-journal JSONL streams that all carry the same
-``run_id`` — the property that makes any line from any stream joinable
-back to its run.
+The acceptance test: one chaos + checkpoint sweep with telemetry
+enabled must leave its trace (lifecycle events and spans), obs
+(MAC/SoF/chaos ledger) and checkpoint-journal JSONL streams that all
+carry the same ``run_id`` — the property that makes any line from any
+stream joinable back to its run.
 """
 
 import json
@@ -15,6 +15,7 @@ from repro.core import ScenarioConfig
 from repro.runner import ExperimentRunner, Task, TaskKind
 from repro.runner.seeding import SeedSpec
 from repro.runner.serialize import scenario_to_jsonable
+from repro.telemetry.context import current
 from repro.telemetry.openmetrics import validate_openmetrics
 
 STATIONS = 2
@@ -93,11 +94,14 @@ class TestRunIdPropagation:
             )
 
         # All four stream families actually exist (else the assertion
-        # above is vacuous): runner trace+spans, obs traces, the chaos
-        # ledger, and the checkpoint journal.
+        # above is vacuous): the runner trace with its spans, obs
+        # traces, the chaos ledger, and the checkpoint journal.
         names = {path.name for path, _ in _jsonl_lines(tmp_path)}
         assert "trace.jsonl" in names
-        assert "spans.jsonl" in names
+        assert sorted(p.name for p in telemetry_dir.iterdir()) == [
+            "metrics.prom",
+            "trace.jsonl",
+        ]
         assert "journal.jsonl" in names
         assert any(name.startswith("mac_trace") for name in names)
         assert any(name.startswith("chaos_ledger") for name in names)
@@ -114,8 +118,10 @@ class TestRunIdPropagation:
         spans = [
             record
             for path, record in _jsonl_lines(telemetry_dir)
-            if path.name == "spans.jsonl"
+            if path.name == "trace.jsonl"
+            and record["event"] in ("span_start", "span_end")
         ]
+        assert spans
         starts = [r for r in spans if r["event"] == "span_start"]
         names = {r["name"] for r in starts}
         assert {"sweep", "point", "attempt"} <= names
@@ -178,9 +184,12 @@ class TestRunIdPropagation:
 
 
 class TestZeroCostWhenDisabled:
-    def test_no_telemetry_no_artifacts(self, tmp_path):
-        runner = ExperimentRunner(max_workers=1)
-        assert runner.spans is None
+    def test_no_telemetry_no_artifacts(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        contexts = []
+        runner = ExperimentRunner(
+            max_workers=1, progress=lambda *_: contexts.append(current())
+        )
         task = Task(
             kind=TaskKind.SIMULATE,
             payload={
@@ -194,7 +203,10 @@ class TestZeroCostWhenDisabled:
         )
         (result,) = runner.run([task])
         assert result is not None
-        assert not list(tmp_path.rglob("*.jsonl"))
+        # No span recorded, no context activated, no file written.
+        assert not runner.trace.of_kind("span_start")
+        assert contexts and set(contexts) == {None}
+        assert not list(tmp_path.rglob("*"))
 
     def test_results_identical_with_and_without_telemetry(self, tmp_path):
         task = Task(

@@ -49,8 +49,8 @@ def _make_run_dir(tmp_path, crashed=False):
              "name": "sweep", "t_s": 4.0, "duration_s": 4.0,
              "status": "ok"}
         )
-    _write_jsonl(tmp_path / "trace.jsonl", trace)
-    _write_jsonl(tmp_path / "spans.jsonl", spans)
+    # One stream: the lifecycle events and the spans share the file.
+    _write_jsonl(tmp_path / "trace.jsonl", trace + spans)
     return run_id
 
 
@@ -106,9 +106,8 @@ class TestBuildReport:
         torn.mkdir()
         _make_run_dir(clean, crashed=True)
         _make_run_dir(torn, crashed=True)
-        for name in ("trace.jsonl", "spans.jsonl"):
-            with open(torn / name, "a", encoding="utf-8") as handle:
-                handle.write('[1, 2]\n{"event": "span_start", "run_id": "aa')
+        with open(torn / "trace.jsonl", "a", encoding="utf-8") as handle:
+            handle.write('[1, 2]\n{"event": "span_start", "run_id": "aa')
         want, got = build_report(clean), build_report(torn)
         assert got["span_tree"] == want["span_tree"]
         assert got["summary"] == want["summary"]
