@@ -107,12 +107,6 @@ class BatchSlotKernel:
         snapshots its per-slot trace records.  Receives the kernel;
         read (do not mutate) the array attributes.  Used by the
         differential trace adapter.
-    skip_arrival_draws:
-        Suppress the construction-time initial interarrival draws of
-        unsaturated lanes.  Only for checkpoint restoration
-        (:func:`repro.checkpoint.batch.restore_batch_kernel`), which
-        overwrites ``next_arrival_us`` from the snapshot and must not
-        advance the restored arrival generators.
     """
 
     def __init__(
@@ -120,7 +114,6 @@ class BatchSlotKernel:
         scenarios: Sequence[ScenarioConfig],
         streams: Optional[Sequence[RandomStreams]] = None,
         on_round: Optional[Callable[["BatchSlotKernel"], None]] = None,
-        skip_arrival_draws: bool = False,
     ) -> None:
         if not scenarios:
             raise ValueError("batch needs at least one scenario")
@@ -270,10 +263,7 @@ class BatchSlotKernel:
 
         # Unsaturated lanes start dormant (``Station.sleep``) with the
         # first interarrival drawn at construction, exactly like
-        # ``_ArrivalProcess.__init__``.  ``skip_arrival_draws`` lets
-        # checkpoint restoration rebuild the kernel without consuming
-        # draws from the restored generators (the dynamic arrays are
-        # overwritten right after).
+        # ``_ArrivalProcess.__init__``.
         if self._has_unsat:
             for b, scenario in enumerate(self.scenarios):
                 for i, cfg in enumerate(scenario.stations):
@@ -282,12 +272,9 @@ class BatchSlotKernel:
                     rng = self.streams[b].stream("arrivals", i)
                     self._arrival_generators[b * N + i] = rng
                     self.state[b, i] = _DORMANT
-                    if not skip_arrival_draws:
-                        self.next_arrival_us[b, i] = float(
-                            rng.exponential(
-                                self.mean_interarrival_us[b, i]
-                            )
-                        )
+                    self.next_arrival_us[b, i] = float(
+                        rng.exponential(self.mean_interarrival_us[b, i])
+                    )
 
         #: Per-round scratch published for ``on_round`` consumers:
         #: which lanes attempt, and each point's outcome code
@@ -319,9 +306,8 @@ class BatchSlotKernel:
         """Run lockstep iterations until done (or ``max_rounds`` more).
 
         Returns ``True`` once every point has finished.  Pausing
-        happens only between rounds, so interleaving ``advance`` calls
-        with checkpoint snapshots executes the exact same iterations
-        as an uninterrupted run (see :mod:`repro.checkpoint.batch`).
+        happens only between rounds, so interleaved ``advance`` calls
+        execute the exact same iterations as an uninterrupted run.
         """
         remaining = max_rounds
         while True:

@@ -96,7 +96,7 @@ class LaneRngs:
         otherwise they fall back to per-lane scalar ``integers`` calls.
 
     The instance is picklable either way (arrays, or the generator
-    objects themselves), which is what the batch checkpoint snapshots.
+    objects themselves).
     """
 
     def __init__(
@@ -214,8 +214,9 @@ class LaneRngs:
 
         After this, calling ``integers`` on a lane's generator
         continues its stream exactly where the batched draws left it —
-        proven by ``tests/batch/test_lanes.py``.  No-op in scalar mode
-        (the generators were advanced directly).
+        proven by ``tests/batch/test_lanes.py`` and checked by the
+        first-use self-test.  No-op in scalar mode (the generators were
+        advanced directly).
         """
         if not self.vectorized:
             return

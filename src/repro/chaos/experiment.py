@@ -7,6 +7,10 @@ testbed, installs a :class:`~repro.chaos.plan.ChaosPlan` through a
 checker over the whole run, and returns the measurement together with
 the chaos report (injection ledger + checker summary + optional obs
 capture).
+
+The checkpointed and resumed drivers of :mod:`repro.checkpoint.testbed`
+share :func:`attach_chaos`, :func:`chaos_span` and :func:`chaos_report`:
+every chaos test records the same span and reports the same dict.
 """
 
 from __future__ import annotations
@@ -15,25 +19,43 @@ import contextlib
 import sys
 from typing import Any, Dict, Optional, Tuple, Union
 
-from ..obs.probe import MacProbe, deinstrument, instrument_testbed
+from ..obs.probe import MacProbe, instrument_testbed
 from .injector import ChaosInjector
 from .invariants import InvariantChecker
 from .plan import ChaosPlan
 
-__all__ = ["chaos_collision_test", "attach_chaos"]
+__all__ = ["chaos_collision_test", "attach_chaos", "chaos_report", "chaos_span"]
 
 
-def _chaos_span(**attrs):
-    """A ``chaos_test`` telemetry span — or a no-op scope.
+def chaos_span(plan, num_stations: int):
+    """The ``chaos_test`` telemetry span of a test under ``plan`` (a
+    :class:`ChaosPlan` or its dict) — or a no-op scope without a plan.
 
     Gated through ``sys.modules`` like every other telemetry touch
     point: a process that never loaded :mod:`repro.telemetry.context`,
     or has no active run, pays one dict lookup and nothing else.
     """
     module = sys.modules.get("repro.telemetry.context")
-    if module is None or module.current() is None:
+    if plan is None or module is None or module.current() is None:
         return contextlib.nullcontext()
-    return module.span("chaos_test", **attrs)
+    return module.span(
+        "chaos_test",
+        stations=num_stations,
+        plan_seed=ChaosPlan.from_jsonable(plan).seed,
+    )
+
+
+def chaos_report(
+    injector: ChaosInjector, checker: InvariantChecker
+) -> Dict[str, Any]:
+    """A finished chaos test's report: the plan, the injection ledger
+    and the invariant-checker summary."""
+    injector.flush()
+    return {
+        "plan": injector.plan.as_jsonable(),
+        "injection": injector.report(),
+        "invariants": checker.finalize(),
+    }
 
 
 def attach_chaos(
@@ -97,7 +119,7 @@ def chaos_collision_test(
         warmup_us = DEFAULT_WARMUP_US
 
     plan = ChaosPlan.from_jsonable(plan)
-    with _chaos_span(stations=num_stations, plan_seed=plan.seed):
+    with chaos_span(plan, num_stations):
         testbed = build_testbed(num_stations, seed=seed, **testbed_kwargs)
         session = None
         probe = None
@@ -116,12 +138,7 @@ def chaos_collision_test(
             seed=seed,
             testbed=testbed,
         )
-        injector.flush()
-        report: Dict[str, Any] = {
-            "plan": plan.as_jsonable(),
-            "injection": injector.report(),
-            "invariants": checker.finalize(),
-        }
+        report = chaos_report(injector, checker)
         if session is not None:
             # Persist the injection event log next to the capture
             # artifacts, one line per fault fired (run_id-stamped when
@@ -130,10 +147,4 @@ def chaos_collision_test(
             if injector.flush_ledger_jsonl(ledger_path):
                 report["injection"]["ledger_path"] = str(ledger_path)
             report["capture"] = session.finalize()
-        else:
-            deinstrument(
-                coordinator=testbed.avln.coordinator,
-                strip=testbed.avln.strip,
-                nodes=[device.node for device in testbed.avln.devices],
-            )
     return test, report

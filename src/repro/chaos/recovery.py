@@ -16,16 +16,27 @@ consecutive measurement windows:
    push the collision probability up);
 3. **recovered** — after the faults clear and a settle gap elapses.
 
-Each window uses the §3.2 procedure (reset stats → run → read ΣC/ΣA).
-Recovery holds when the recovered window's collision probability is
-back within ``tolerance`` (relative, with an absolute ``floor`` for
-near-zero baselines) of the baseline.
+Each window is the §3.2 procedure's measurement window
+(:func:`~repro.experiments.procedures.open_window` →
+:func:`~repro.experiments.procedures.close_window`), after its
+:func:`~repro.experiments.procedures.warm_up`.  Recovery holds when the
+recovered window's collision probability is back within ``tolerance``
+(relative, with an absolute ``floor`` for near-zero baselines) of the
+baseline.
+
+With a checkpoint store the experiment arms the checkpointed collision
+test's snapshot hook (:func:`~repro.checkpoint.testbed
+.arm_snapshot_hook`) once, for the settle gap;
+:func:`resume_recovery_experiment` rebuilds from that snapshot with the
+same :func:`~repro.checkpoint.testbed.rebuild_from_snapshot` and runs
+the same tail (settle, recovered window) as the straight run.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from typing import Any, Dict, Optional
 
 from .experiment import attach_chaos
@@ -114,14 +125,14 @@ class RecoveryResult:
         }
 
 
-def _window_collision_probability(testbed, window_us: float) -> float:
+def _window_collision_probability(
+    testbed, num_stations: int, window_us: float
+) -> float:
     """One §3.2 measurement window on a running testbed."""
-    testbed.reset_data_stats()
-    testbed.run_until(testbed.env.now + window_us)
-    rows = testbed.read_data_stats()
-    acked = sum(row[1] for row in rows)
-    collided = sum(row[2] for row in rows)
-    return collided / acked if acked else 0.0
+    from ..experiments.procedures import close_window, open_window
+
+    window = open_window(testbed, window_us)
+    return close_window(testbed, window, num_stations).collision_probability
 
 
 def run_recovery_experiment(
@@ -158,6 +169,7 @@ def run_recovery_experiment(
     a :class:`RecoveryResult` bit-identical to this one; it requires
     JSON-serializable ``testbed_kwargs``.
     """
+    from ..experiments.procedures import warm_up
     from ..experiments.testbed import build_testbed
 
     fault_start_us = warmup_us + window_us
@@ -169,26 +181,36 @@ def run_recovery_experiment(
 
     testbed = build_testbed(num_stations, seed=seed, **testbed_kwargs)
     injector, checker, _probe = attach_chaos(testbed, plan)
+    warm_up(testbed, warmup_us)
+    baseline = _window_collision_probability(testbed, num_stations, window_us)
+    faulty = _window_collision_probability(testbed, num_stations, window_us)
 
-    testbed.run_until(warmup_us)
-    if not testbed.avln.all_associated:
-        testbed.run_until(warmup_us + 1e6)
-    if not testbed.avln.all_associated:
-        raise RuntimeError("stations failed to associate during warm-up")
-
-    baseline = _window_collision_probability(testbed, window_us)
-    faulty = _window_collision_probability(testbed, window_us)
+    # Environment.run's stop arithmetic for the settle gap, so the
+    # resumed experiment reaches the same instant with run_until_at.
+    settle_start = testbed.env.now
+    settle_stop = settle_start + ((settle_start + settle_us) - settle_start)
+    meta = {
+        "experiment": "recovery",
+        "num_stations": num_stations,
+        "seed": seed,
+        "testbed_kwargs": testbed_kwargs,
+        "plan": plan.as_jsonable()
+        if isinstance(plan, ChaosPlan)
+        else dict(plan),
+        "window_us": window_us,
+        "settle_us": settle_us,
+        "warmup_us": warmup_us,
+        "tolerance": tolerance,
+        "floor": floor,
+        "baseline": baseline,
+        "faulty": faulty,
+        "settle_stop_us": settle_stop,
+        "recovered_stop_us": settle_stop
+        + ((settle_stop + window_us) - settle_stop),
+    }
     if checkpoint_store is not None:
-        # Mirror Environment.run's stop arithmetic for the two runs
-        # that remain, so the resumed experiment can reproduce the
-        # exact stop instants with run_until_at.
-        settle_start = testbed.env.now
-        settle_stop = settle_start + (
-            (settle_start + settle_us) - settle_start
-        )
-        recovered_stop = settle_stop + (
-            (settle_stop + window_us) - settle_stop
-        )
+        from ..checkpoint.testbed import arm_snapshot_hook
+
         try:
             json.dumps(testbed_kwargs)
         except TypeError as exc:
@@ -196,88 +218,46 @@ def run_recovery_experiment(
                 "checkpointed recovery requires JSON-serializable "
                 f"testbed_kwargs: {exc}"
             ) from None
-        _arm_gap_checkpoint(
+        # One snapshot, at the first safe point of the settle gap: the
+        # resume must re-enter *before* the recovered window's reset.
+        arm_snapshot_hook(
             testbed,
-            injector,
-            checker,
             checkpoint_store,
-            settle_stop=settle_stop,
-            meta={
-                "experiment": "recovery",
-                "num_stations": num_stations,
-                "seed": seed,
-                "testbed_kwargs": testbed_kwargs,
-                "plan": plan.as_jsonable()
-                if isinstance(plan, ChaosPlan)
-                else dict(plan),
-                "window_us": window_us,
-                "settle_us": settle_us,
-                "warmup_us": warmup_us,
-                "tolerance": tolerance,
-                "floor": floor,
-                "baseline": baseline,
-                "faulty": faulty,
-                "settle_stop_us": settle_stop,
-                "recovered_stop_us": recovered_stop,
-            },
+            meta,
+            first_due_us=settle_start,
+            stop_us=settle_stop,
+            every_us=math.inf,
+            injector=injector,
+            checker=checker,
         )
-    # Let the faults clear and the backoff state drain before the
-    # recovery window.
-    try:
-        testbed.run_until(testbed.env.now + settle_us)
-    finally:
-        if checkpoint_store is not None:
-            testbed.avln.coordinator.checkpoint_hook = None
-    recovered = _window_collision_probability(testbed, window_us)
+    return _settle_and_recover(testbed, injector, checker, meta)
 
+
+def _settle_and_recover(
+    testbed, injector, checker, meta: Dict[str, Any]
+) -> RecoveryResult:
+    """The experiment's tail, straight or resumed from its snapshot's
+    ``meta``: let the faults clear and the backoff state drain until
+    the settle gap's stop, then measure the recovered window."""
+    try:
+        testbed.env.run_until_at(meta["settle_stop_us"])
+    finally:
+        testbed.avln.coordinator.checkpoint_hook = None
+    recovered = _window_collision_probability(
+        testbed, meta["num_stations"], meta["window_us"]
+    )
     injector.flush()
     return RecoveryResult(
-        num_stations=num_stations,
-        window_us=window_us,
-        baseline=baseline,
-        faulty=faulty,
+        num_stations=meta["num_stations"],
+        window_us=meta["window_us"],
+        baseline=meta["baseline"],
+        faulty=meta["faulty"],
         recovered=recovered,
-        tolerance=tolerance,
-        floor=floor,
+        tolerance=meta["tolerance"],
+        floor=meta["floor"],
         invariants=checker.finalize(),
         injection=injector.report(),
     )
-
-
-def _arm_gap_checkpoint(
-    testbed, injector, checker, store, settle_stop: float, meta: Dict[str, Any]
-) -> None:
-    """One-shot snapshot at the first safe point of the settle gap.
-
-    Fires at a contention-round boundary (the coordinator's checkpoint
-    hook), skips instants with another event pending at the same time
-    (relative order would not be reconstructible), and never fires
-    inside the recovery measurement window — the resume must re-enter
-    *before* the window's stat reset.
-    """
-    done = []
-
-    def hook() -> None:
-        env = testbed.env
-        if done or env.now >= settle_stop or env.peek() == env.now:
-            return
-        from ..checkpoint.format import Checkpoint
-        from ..checkpoint.testbed import capture_testbed
-
-        store.write(
-            Checkpoint(
-                kind="testbed",
-                seq=store.next_seq(),
-                sim_time_us=env.now,
-                meta=dict(meta),
-                state=capture_testbed(
-                    testbed, injector=injector, checker=checker
-                ),
-            )
-        )
-        done.append(True)
-
-    testbed.avln.coordinator.checkpoint_hook = hook
 
 
 def resume_recovery_experiment(store, checkpoint=None) -> RecoveryResult:
@@ -292,50 +272,13 @@ def resume_recovery_experiment(store, checkpoint=None) -> RecoveryResult:
     produced, had it not crashed after the snapshot).
     """
     from ..checkpoint.format import CheckpointError
-    from ..checkpoint.testbed import restore_testbed_state
-    from ..experiments.testbed import build_testbed
+    from ..checkpoint.testbed import load_snapshot, rebuild_from_snapshot
 
-    if checkpoint is None:
-        checkpoint = store.latest_valid()
-        if checkpoint is None:
-            raise CheckpointError(
-                f"no valid checkpoint in {store.directory}"
-            )
+    checkpoint = load_snapshot(store, checkpoint)
     meta = checkpoint.meta
-    if checkpoint.kind != "testbed" or meta.get("experiment") != "recovery":
+    if meta.get("experiment") != "recovery":
         raise CheckpointError(
             "checkpoint is not a recovery-experiment snapshot "
-            f"(kind={checkpoint.kind!r}, "
-            f"experiment={meta.get('experiment')!r})"
+            f"(experiment={meta.get('experiment')!r})"
         )
-
-    testbed = build_testbed(
-        meta["num_stations"],
-        seed=meta["seed"],
-        **(meta.get("testbed_kwargs") or {}),
-    )
-    injector, checker, _probe = attach_chaos(testbed, meta["plan"])
-    restore_testbed_state(
-        testbed, checkpoint.state, injector=injector, checker=checker
-    )
-
-    testbed.env.run_until_at(meta["settle_stop_us"])
-    testbed.reset_data_stats()
-    testbed.env.run_until_at(meta["recovered_stop_us"])
-    rows = testbed.read_data_stats()
-    acked = sum(row[1] for row in rows)
-    collided = sum(row[2] for row in rows)
-    recovered = collided / acked if acked else 0.0
-
-    injector.flush()
-    return RecoveryResult(
-        num_stations=meta["num_stations"],
-        window_us=meta["window_us"],
-        baseline=meta["baseline"],
-        faulty=meta["faulty"],
-        recovered=recovered,
-        tolerance=meta["tolerance"],
-        floor=meta["floor"],
-        invariants=checker.finalize(),
-        injection=injector.report(),
-    )
+    return _settle_and_recover(*rebuild_from_snapshot(checkpoint), meta)

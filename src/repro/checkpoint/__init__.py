@@ -12,12 +12,14 @@ than approximate resumption.  This package provides:
   (newest-valid-wins, corrupted files skipped);
 - :mod:`repro.checkpoint.slotsim` — snapshot/restore for the
   slot-synchronous :class:`~repro.core.simulator.SlotSimulator`;
-- :mod:`repro.checkpoint.batch` — round-boundary array-state
-  snapshot/restore for the vectorized
-  :class:`~repro.batch.kernel.BatchSlotKernel`;
 - :mod:`repro.checkpoint.testbed` — safe-point snapshot/restore for the
-  event-driven §3.2 testbed (plain and chaos-injected), plus the
-  checkpointed collision-test drivers the runner and CLI use.
+  event-driven §3.2 testbed (plain and chaos-injected), the snapshot
+  hook, and the checkpointed collision-test drivers the runner and CLI
+  use, composed from the procedure's steps in
+  :mod:`repro.experiments.procedures`.
+
+The batch kernel has no snapshot format: it packs only points without
+a checkpoint runtime.
 """
 
 from .format import (
@@ -28,12 +30,6 @@ from .format import (
     inspect_file,
     read_file,
     write_file,
-)
-from .batch import (
-    DEFAULT_BATCH_EVERY_ROUNDS,
-    restore_batch_kernel,
-    run_batch_with_checkpoints,
-    snapshot_batch_kernel,
 )
 from .integrity import FileLock, atomic_write_bytes, sha256_hex
 from .slotsim import (
@@ -52,20 +48,16 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "CheckpointStore",
-    "DEFAULT_BATCH_EVERY_ROUNDS",
     "DEFAULT_CHECKPOINT_EVERY_US",
     "FileLock",
     "atomic_write_bytes",
     "checkpointed_collision_test",
     "inspect_file",
     "read_file",
-    "restore_batch_kernel",
     "restore_slot_simulator",
     "resume_collision_test",
-    "run_batch_with_checkpoints",
     "run_simulate_with_checkpoints",
     "sha256_hex",
-    "snapshot_batch_kernel",
     "snapshot_slot_simulator",
     "write_file",
 ]

@@ -32,9 +32,11 @@ captured state, restarts the marked processes in
 coordinator — reproducing the original event heap's relative ordering,
 which is what makes resumed runs *bit-identical* to uninterrupted ones.
 
-:func:`checkpointed_collision_test` / :func:`resume_collision_test`
-wrap the §3.2 measurement procedure (plain or chaos-injected) around
-this machinery; the runner and the CLI drive those.
+:func:`checkpointed_collision_test` composes the §3.2 procedure's steps
+(:mod:`repro.experiments.procedures`) with :func:`arm_snapshot_hook`;
+:func:`resume_collision_test` runs the same tail on a testbed
+:func:`rebuild_from_snapshot` restored.  The runner and the CLI drive
+those; the recovery harness arms the same hook and rebuilds the same way.
 """
 
 from __future__ import annotations
@@ -51,7 +53,10 @@ from .format import Checkpoint, CheckpointError, CheckpointStore
 
 __all__ = [
     "DEFAULT_CHECKPOINT_EVERY_US",
+    "arm_snapshot_hook",
     "capture_testbed",
+    "load_snapshot",
+    "rebuild_from_snapshot",
     "restore_testbed_state",
     "checkpointed_collision_test",
     "resume_collision_test",
@@ -380,23 +385,28 @@ def restore_testbed_state(
 
 
 # -- the §3.2 procedure, checkpointed ----------------------------------------
-def _install_hook(
+def arm_snapshot_hook(
     testbed,
     store: CheckpointStore,
     meta: Dict[str, Any],
     first_due_us: float,
-    run_stop_us: float,
+    stop_us: float,
     every_us: float,
     injector=None,
     checker=None,
 ) -> None:
-    """Arm the coordinator's round-boundary snapshot hook."""
+    """Arm the coordinator's round-boundary snapshot hook.
+
+    Snapshots go to ``store`` from ``first_due_us`` on, every
+    ``every_us`` (``math.inf``: once), never at or past ``stop_us``.
+    The caller disarms it (``checkpoint_hook = None``) after the run.
+    """
     env = testbed.env
     next_due = [first_due_us]
 
     def hook() -> None:
         now = env.now
-        if now < next_due[0] or now >= run_stop_us:
+        if now < next_due[0] or now >= stop_us:
             return
         if env.peek() == now:
             # Another event fires at this exact instant: its relative
@@ -419,12 +429,78 @@ def _install_hook(
     testbed.avln.coordinator.checkpoint_hook = hook
 
 
-def _chaos_report(plan, injector, checker) -> Dict[str, Any]:
-    return {
-        "plan": plan.as_jsonable(),
-        "injection": injector.report(),
-        "invariants": checker.finalize(),
-    }
+def load_snapshot(
+    store: CheckpointStore, checkpoint: Optional[Checkpoint] = None
+) -> Checkpoint:
+    """``checkpoint``, or the newest valid one in ``store``; it must be a
+    ``testbed`` snapshot."""
+    if checkpoint is None:
+        checkpoint = store.latest_valid()
+    if checkpoint is None:
+        raise CheckpointError(
+            f"no valid checkpoint under {store.directory}"
+        )
+    if checkpoint.kind != "testbed":
+        raise CheckpointError(
+            f"expected a 'testbed' checkpoint, got {checkpoint.kind!r}"
+        )
+    return checkpoint
+
+
+def rebuild_from_snapshot(checkpoint: Checkpoint):
+    """The testbed a snapshot was taken on, rebuilt from its metadata
+    with the captured state restored: ``(testbed, injector, checker)``,
+    the last two ``None`` without a chaos plan."""
+    from ..chaos.experiment import attach_chaos
+    from ..experiments.testbed import build_testbed
+
+    meta = checkpoint.meta
+    tb = build_testbed(
+        meta["num_stations"], seed=meta["seed"], **meta["testbed_kwargs"]
+    )
+    injector = checker = None
+    if meta["plan"] is not None:
+        # Recovery snapshots carry no ``deep_every``: they ran on
+        # attach_chaos's default.
+        injector, checker, _probe = attach_chaos(
+            tb, meta["plan"], deep_every=meta.get("deep_every", 256)
+        )
+    restore_testbed_state(
+        tb, checkpoint.state, injector=injector, checker=checker
+    )
+    return tb, injector, checker
+
+
+def _measure(tb, store, meta, first_due_us, injector, checker):
+    """The checkpointed measurement tail, fresh or resumed: snapshot
+    through the window ``meta`` records, close it, and report a chaos
+    run inside its ``chaos_test`` span."""
+    from ..chaos.experiment import chaos_report, chaos_span
+    from ..experiments.procedures import MeasurementWindow, close_window
+
+    window = MeasurementWindow(
+        start_us=meta["start_us"],
+        stop_us=meta["run_stop_us"],
+        rx_bytes_before=meta["rx_bytes_before"],
+    )
+    with chaos_span(meta["plan"], meta["num_stations"]):
+        arm_snapshot_hook(
+            tb,
+            store,
+            meta,
+            first_due_us=first_due_us,
+            stop_us=window.stop_us,
+            every_us=meta["checkpoint_every_us"],
+            injector=injector,
+            checker=checker,
+        )
+        try:
+            test = close_window(tb, window, meta["num_stations"])
+        finally:
+            tb.avln.coordinator.checkpoint_hook = None
+        if injector is None:
+            return test
+        return test, chaos_report(injector, checker)
 
 
 def checkpointed_collision_test(
@@ -440,11 +516,13 @@ def checkpointed_collision_test(
 ):
     """One §3.2 collision test, snapshotting into ``store`` as it runs.
 
-    Mirrors :func:`~repro.experiments.procedures.run_collision_test`
-    line for line (and, with ``plan``, :func:`~repro.chaos.experiment
-    .chaos_collision_test`); the only addition is the round-boundary
-    snapshot hook, which observes the simulation without perturbing it
-    — the returned result is bit-identical to the uncheckpointed run.
+    The procedure's steps (:mod:`repro.experiments.procedures`) with
+    one addition — the round-boundary snapshot hook, armed for the
+    measurement window — which observes the simulation without
+    perturbing it: the result is bit-identical to
+    :func:`~repro.experiments.procedures.run_collision_test` (and, with
+    ``plan``, to :func:`~repro.chaos.experiment.chaos_collision_test`,
+    inside the same ``chaos_test`` span).
 
     Returns a :class:`~repro.experiments.procedures.CollisionTest`, or
     ``(test, report)`` when a chaos ``plan`` is given.  Checkpoints are
@@ -457,7 +535,8 @@ def checkpointed_collision_test(
     from ..experiments.procedures import (
         DEFAULT_TEST_DURATION_US,
         DEFAULT_WARMUP_US,
-        CollisionTest,
+        open_window,
+        warm_up,
     )
     from ..experiments.testbed import build_testbed
 
@@ -478,11 +557,8 @@ def checkpointed_collision_test(
             "checkpointed tests require JSON-serializable testbed_kwargs "
             f"(resume rebuilds the testbed from the checkpoint): {exc}"
         ) from None
-
-    plan_jsonable = None
     if plan is not None:
         plan = ChaosPlan.from_jsonable(plan)
-        plan_jsonable = plan.as_jsonable()
 
     tb = build_testbed(num_stations, seed=seed, **testbed_kwargs)
     injector = checker = None
@@ -490,64 +566,29 @@ def checkpointed_collision_test(
         injector, checker, _probe = attach_chaos(
             tb, plan, deep_every=deep_every
         )
-
-    # Bring-up: association handshakes, beacon lock, queue fill.
-    tb.run_until(warmup_us)
-    if not tb.avln.all_associated:
-        tb.run_until(warmup_us + 1e6)
-    if not tb.avln.all_associated:
-        raise RuntimeError("stations failed to associate during warm-up")
-
-    tb.reset_data_stats()
-    rx_bytes_before = tb.destination.received_bytes
-    start = tb.env.now
-    # The exact instant Environment.run's delay arithmetic stops at; a
-    # resume reaches the same float via run_until_at.
-    run_stop_us = start + ((start + duration_us) - start)
-
+    warm_up(tb, warmup_us)
+    window = open_window(tb, duration_us)
     meta = {
         "num_stations": num_stations,
         "duration_us": duration_us,
         "warmup_us": warmup_us,
         "seed": seed,
         "testbed_kwargs": testbed_kwargs,
-        "plan": plan_jsonable,
+        "plan": None if plan is None else plan.as_jsonable(),
         "deep_every": deep_every,
-        "start_us": start,
-        "rx_bytes_before": rx_bytes_before,
-        "run_stop_us": run_stop_us,
+        "start_us": window.start_us,
+        "rx_bytes_before": window.rx_bytes_before,
+        "run_stop_us": window.stop_us,
         "checkpoint_every_us": checkpoint_every_us,
     }
-    _install_hook(
+    return _measure(
         tb,
         store,
         meta,
-        first_due_us=start + checkpoint_every_us,
-        run_stop_us=run_stop_us,
-        every_us=checkpoint_every_us,
-        injector=injector,
-        checker=checker,
+        window.start_us + checkpoint_every_us,
+        injector,
+        checker,
     )
-    try:
-        tb.run_until(start + duration_us)
-    finally:
-        tb.avln.coordinator.checkpoint_hook = None
-
-    rows = tb.read_data_stats()
-    elapsed = tb.env.now - start
-    goodput_mbps = (
-        (tb.destination.received_bytes - rx_bytes_before) * 8.0 / elapsed
-    )
-    test = CollisionTest(
-        num_stations=num_stations,
-        duration_us=elapsed,
-        per_station=rows,
-        goodput_mbps=goodput_mbps,
-    )
-    if plan is not None:
-        injector.flush()
-        return test, _chaos_report(plan, injector, checker)
-    return test
 
 
 def resume_collision_test(
@@ -562,70 +603,13 @@ def resume_collision_test(
     the measurement window.  The result — rows, goodput, round log,
     traces — is bit-identical to the uninterrupted run's.
     """
-    from ..chaos.experiment import attach_chaos
-    from ..chaos.plan import ChaosPlan
-    from ..experiments.procedures import CollisionTest
-    from ..experiments.testbed import build_testbed
-
-    if checkpoint is None:
-        checkpoint = store.latest_valid()
-    if checkpoint is None:
-        raise CheckpointError(
-            f"no valid checkpoint under {store.directory}"
-        )
-    if checkpoint.kind != "testbed":
-        raise CheckpointError(
-            f"expected a 'testbed' checkpoint, got {checkpoint.kind!r}"
-        )
-    meta = checkpoint.meta
-    plan = None
-    if meta["plan"] is not None:
-        plan = ChaosPlan.from_jsonable(meta["plan"])
-
-    tb = build_testbed(
-        meta["num_stations"],
-        seed=meta["seed"],
-        **meta["testbed_kwargs"],
-    )
-    injector = checker = None
-    if plan is not None:
-        injector, checker, _probe = attach_chaos(
-            tb, plan, deep_every=meta["deep_every"]
-        )
-    restore_testbed_state(
-        tb, checkpoint.state, injector=injector, checker=checker
-    )
-
-    run_stop_us = meta["run_stop_us"]
-    _install_hook(
+    checkpoint = load_snapshot(store, checkpoint)
+    tb, injector, checker = rebuild_from_snapshot(checkpoint)
+    return _measure(
         tb,
         store,
-        meta,
-        first_due_us=checkpoint.sim_time_us + meta["checkpoint_every_us"],
-        run_stop_us=run_stop_us,
-        every_us=meta["checkpoint_every_us"],
-        injector=injector,
-        checker=checker,
+        checkpoint.meta,
+        checkpoint.sim_time_us + checkpoint.meta["checkpoint_every_us"],
+        injector,
+        checker,
     )
-    try:
-        tb.env.run_until_at(run_stop_us)
-    finally:
-        tb.avln.coordinator.checkpoint_hook = None
-
-    rows = tb.read_data_stats()
-    elapsed = tb.env.now - meta["start_us"]
-    goodput_mbps = (
-        (tb.destination.received_bytes - meta["rx_bytes_before"])
-        * 8.0
-        / elapsed
-    )
-    test = CollisionTest(
-        num_stations=meta["num_stations"],
-        duration_us=elapsed,
-        per_station=rows,
-        goodput_mbps=goodput_mbps,
-    )
-    if plan is not None:
-        injector.flush()
-        return test, _chaos_report(plan, injector, checker)
-    return test

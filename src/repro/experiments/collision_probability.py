@@ -60,15 +60,6 @@ def _collision_test_task(
     )
 
 
-def _test_from_entry(entry: dict) -> CollisionTest:
-    return CollisionTest(
-        num_stations=entry["num_stations"],
-        duration_us=entry["duration_us"],
-        per_station=[tuple(row) for row in entry["per_station"]],
-        goodput_mbps=entry["goodput_mbps"],
-    )
-
-
 def figure2_data(
     station_counts: Sequence[int] = tuple(range(1, 8)),
     test_duration_us: float = 24e6,
@@ -115,7 +106,7 @@ def figure2_data(
     for i, n in enumerate(counts):
         series = CollisionTestSeries(
             tests=[
-                _test_from_entry(entry)
+                CollisionTest.from_jsonable(entry)
                 for entry in test_entries[
                     i * test_repetitions : (i + 1) * test_repetitions
                 ]
@@ -174,7 +165,7 @@ def table2_data(
     require_complete(entries, runner.failures)
     rows = []
     for n, entry in zip(counts, entries):
-        test = _test_from_entry(entry)
+        test = CollisionTest.from_jsonable(entry)
         rows.append(
             Table2Row(
                 num_stations=n,

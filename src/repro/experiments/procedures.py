@@ -5,12 +5,19 @@ transmit statistics of all stations, run for the test duration, then
 retrieve ΣC_i and ΣA_i with ampstat and evaluate the collision
 probability as ΣC_i / ΣA_i.  :func:`repeat_tests` averages several
 independently seeded tests (the paper averages 10).
+
+The procedure is written once, as three steps every testbed driver
+composes: :func:`warm_up`, :func:`open_window` (the stat reset) and
+:func:`close_window` (run to the stop instant, read ampstat back).
+:func:`run_collision_test` is the three in a row; the checkpointed,
+chaos-injected, observed and recovery drivers add their hooks between
+them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -19,8 +26,12 @@ from .testbed import Testbed, build_testbed
 __all__ = [
     "CollisionTest",
     "CollisionTestSeries",
+    "MeasurementWindow",
+    "close_window",
+    "open_window",
     "run_collision_test",
     "repeat_tests",
+    "warm_up",
     "DEFAULT_TEST_DURATION_US",
     "DEFAULT_WARMUP_US",
 ]
@@ -61,6 +72,33 @@ class CollisionTest:
             return 0.0
         return self.sum_collided / self.sum_acked
 
+    def as_jsonable(self) -> Dict[str, Any]:
+        """The ``collision_test`` task's result dict.
+
+        >>> test = CollisionTest(2, 1e6, [("m1", 10, 2), ("m2", 8, 1)], 9.5)
+        >>> CollisionTest.from_jsonable(test.as_jsonable()) == test
+        True
+        """
+        return {
+            "num_stations": self.num_stations,
+            "duration_us": self.duration_us,
+            "per_station": [
+                [mac, int(acked), int(collided)]
+                for mac, acked, collided in self.per_station
+            ],
+            "goodput_mbps": self.goodput_mbps,
+        }
+
+    @classmethod
+    def from_jsonable(cls, data: Dict[str, Any]) -> "CollisionTest":
+        """The test a result dict holds (extra keys are ignored)."""
+        return cls(
+            num_stations=data["num_stations"],
+            duration_us=data["duration_us"],
+            per_station=[tuple(row) for row in data["per_station"]],
+            goodput_mbps=data["goodput_mbps"],
+        )
+
 
 @dataclasses.dataclass(frozen=True)
 class CollisionTestSeries:
@@ -89,6 +127,57 @@ class CollisionTestSeries:
         return float(np.mean([test.goodput_mbps for test in self.tests]))
 
 
+@dataclasses.dataclass(frozen=True)
+class MeasurementWindow:
+    """An open §3.2 measurement window: what :func:`close_window`
+    needs to finish it (a checkpoint carries these three values)."""
+
+    start_us: float
+    #: The exact instant the window stops at: ``Environment.run``'s
+    #: delay arithmetic ``start + ((start + d) - start)``, which a
+    #: resumed run reaches with ``run_until_at``.
+    stop_us: float
+    #: D's received bytes at the reset (the goodput baseline).
+    rx_bytes_before: int
+
+
+def warm_up(testbed: Testbed, warmup_us: float) -> None:
+    """Bring-up: association handshakes, beacon lock, queue fill."""
+    testbed.run_until(warmup_us)
+    if not testbed.avln.all_associated:
+        # Associations retry every 100 ms; extend the warm-up.
+        testbed.run_until(warmup_us + 1e6)
+    if not testbed.avln.all_associated:
+        raise RuntimeError("stations failed to associate during warm-up")
+
+
+def open_window(testbed: Testbed, duration_us: float) -> MeasurementWindow:
+    """§3.2: reset the transmit statistics of all stations, and record
+    where a ``duration_us`` window starts and stops."""
+    testbed.reset_data_stats()
+    start = testbed.env.now
+    return MeasurementWindow(
+        start_us=start,
+        stop_us=start + ((start + duration_us) - start),
+        rx_bytes_before=testbed.destination.received_bytes,
+    )
+
+
+def close_window(
+    testbed: Testbed, window: MeasurementWindow, num_stations: int
+) -> CollisionTest:
+    """Run to the window's stop instant and retrieve the counters."""
+    testbed.env.run_until_at(window.stop_us)
+    elapsed = testbed.env.now - window.start_us
+    received = testbed.destination.received_bytes - window.rx_bytes_before
+    return CollisionTest(
+        num_stations=num_stations,
+        duration_us=elapsed,
+        per_station=testbed.read_data_stats(),
+        goodput_mbps=received * 8.0 / elapsed,
+    )
+
+
 def run_collision_test(
     num_stations: int,
     duration_us: float = DEFAULT_TEST_DURATION_US,
@@ -103,36 +192,8 @@ def run_collision_test(
         if testbed is not None
         else build_testbed(num_stations, seed=seed, **testbed_kwargs)
     )
-    # Bring-up: association handshakes, beacon lock, queue fill.
-    tb.run_until(warmup_us)
-    if not tb.avln.all_associated:
-        # Associations retry every 100 ms; extend the warm-up.
-        tb.run_until(warmup_us + 1e6)
-    if not tb.avln.all_associated:
-        raise RuntimeError("stations failed to associate during warm-up")
-
-    # §3.2: reset the transmit statistics of all stations...
-    tb.reset_data_stats()
-    rx_frames_before = tb.destination.received_frames
-    rx_bytes_before = tb.destination.received_bytes
-    start = tb.env.now
-
-    # ...run the test...
-    tb.run_until(start + duration_us)
-
-    # ...and retrieve the counters.
-    rows = tb.read_data_stats()
-    elapsed = tb.env.now - start
-    goodput_mbps = (
-        (tb.destination.received_bytes - rx_bytes_before) * 8.0 / elapsed
-    )
-    del rx_frames_before
-    return CollisionTest(
-        num_stations=num_stations,
-        duration_us=elapsed,
-        per_station=rows,
-        goodput_mbps=goodput_mbps,
-    )
+    warm_up(tb, warmup_us)
+    return close_window(tb, open_window(tb, duration_us), num_stations)
 
 
 def repeat_tests(
@@ -221,13 +282,6 @@ def repeat_tests(
         tasks.append(Task(kind=TaskKind.COLLISION_TEST, payload=payload))
     entries = runner.run(tasks)
     require_complete(entries, runner.failures)
-    tests = [
-        CollisionTest(
-            num_stations=entry["num_stations"],
-            duration_us=entry["duration_us"],
-            per_station=[tuple(row) for row in entry["per_station"]],
-            goodput_mbps=entry["goodput_mbps"],
-        )
-        for entry in entries
-    ]
-    return CollisionTestSeries(tests=tests)
+    return CollisionTestSeries(
+        tests=[CollisionTest.from_jsonable(entry) for entry in entries]
+    )

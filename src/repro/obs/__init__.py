@@ -22,7 +22,7 @@ expose.  ``repro.obs`` gives the simulator the same observability:
 """
 
 from .analyze import CrossCheckRow, analyze_mac_trace, analyze_sof_trace, cross_check
-from .capture import ObsConfig, ObsSession, observe_testbed, observed_collision_test
+from .capture import ObsConfig, ObsSession, observed_collision_test
 from .probe import MacProbe, deinstrument, instrument, instrument_testbed
 from .profiler import EngineProfiler, ProfileReport
 from .recording import JsonlEventLog, append_jsonl, as_jsonable, read_jsonl
@@ -62,6 +62,5 @@ __all__ = [
     "cross_check",
     "ObsConfig",
     "ObsSession",
-    "observe_testbed",
     "observed_collision_test",
 ]

@@ -29,7 +29,7 @@ from .profiler import EngineProfiler
 from .registry import ProbeMetrics
 from .trace import MacTraceRecorder, SofTraceRecorder
 
-__all__ = ["ObsConfig", "ObsSession", "observe_testbed", "observed_collision_test"]
+__all__ = ["ObsConfig", "ObsSession", "observed_collision_test"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,13 +153,6 @@ class ObsSession:
             nodes=[device.node for device in self.testbed.avln.devices],
         )
         return summary
-
-
-def observe_testbed(
-    testbed: Any, config: Union[ObsConfig, Dict[str, Any]]
-) -> ObsSession:
-    """Attach a capture session to a built testbed."""
-    return ObsSession(testbed, config)
 
 
 def observed_collision_test(

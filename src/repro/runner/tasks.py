@@ -230,6 +230,28 @@ def simulation_result_dict(result) -> Dict[str, Any]:
     }
 
 
+def _resume_from(runtime: Dict[str, Any], kind: str):
+    """The checkpoint store of an attempt's runtime, and the snapshot
+    of ``kind`` the attempt resumes from — the newest valid one, with
+    ``checkpoint_resume`` journaled — or ``None`` to start from t=0."""
+    from ..checkpoint import CheckpointStore
+    from ..checkpoint.format import journal_event
+
+    directory = runtime["checkpoint_dir"]
+    store = CheckpointStore(directory)
+    newest = store.latest_valid() if runtime.get("resume", True) else None
+    if newest is None or newest.kind != kind:
+        return store, None
+    journal_event(
+        directory,
+        "checkpoint_resume",
+        kind=newest.kind,
+        seq=newest.seq,
+        sim_time_us=newest.sim_time_us,
+    )
+    return store, newest
+
+
 def _run_simulate(
     payload: Dict[str, Any],
     seed: SeedSpec,
@@ -239,29 +261,14 @@ def _run_simulate(
 
     scenario = scenario_from_jsonable(payload["scenario"])
     record_winners = bool(payload["record_winners"])
-    checkpoint_dir = (runtime or {}).get("checkpoint_dir")
-    if checkpoint_dir:
+    if (runtime or {}).get("checkpoint_dir"):
         from ..checkpoint import (
-            CheckpointStore,
             restore_slot_simulator,
             run_simulate_with_checkpoints,
         )
-        from ..checkpoint.format import journal_event
 
-        store = CheckpointStore(checkpoint_dir)
-        newest = (
-            store.latest_valid()
-            if (runtime or {}).get("resume", True)
-            else None
-        )
-        if newest is not None and newest.kind == "slotsim":
-            journal_event(
-                checkpoint_dir,
-                "checkpoint_resume",
-                kind=newest.kind,
-                seq=newest.seq,
-                sim_time_us=newest.sim_time_us,
-            )
+        store, newest = _resume_from(runtime, "slotsim")
+        if newest is not None:
             sim = restore_slot_simulator(scenario, newest.state)
         else:
             sim = SlotSimulator(
@@ -272,7 +279,7 @@ def _run_simulate(
         result = run_simulate_with_checkpoints(
             sim,
             store,
-            every_us=(runtime or {}).get("checkpoint_every_us"),
+            every_us=runtime.get("checkpoint_every_us"),
             meta={
                 "kind": TaskKind.SIMULATE,
                 "payload": payload,
@@ -361,8 +368,7 @@ def _run_collision_test(
         **payload["testbed_kwargs"],
     )
     chaos_report = capture = None
-    checkpoint_dir = (runtime or {}).get("checkpoint_dir")
-    if checkpoint_dir and obs is None:
+    if (runtime or {}).get("checkpoint_dir") and obs is None:
         # Checkpointed execution: bit-identical to the plain/chaos
         # branches below (enforced by tests/checkpoint/), so the result
         # is safe to share a cache key with uncheckpointed runs.  An
@@ -370,34 +376,18 @@ def _run_collision_test(
         # runs and cannot be re-entered mid-run, so obs points fall
         # through to straight-through execution.
         from ..checkpoint import (
-            CheckpointStore,
             checkpointed_collision_test,
             resume_collision_test,
         )
-        from ..checkpoint.format import journal_event
 
-        store = CheckpointStore(checkpoint_dir)
-        newest = (
-            store.latest_valid()
-            if (runtime or {}).get("resume", True)
-            else None
-        )
+        store, newest = _resume_from(runtime, "testbed")
         if newest is not None:
-            journal_event(
-                checkpoint_dir,
-                "checkpoint_resume",
-                kind=newest.kind,
-                seq=newest.seq,
-                sim_time_us=newest.sim_time_us,
-            )
             outcome = resume_collision_test(store, checkpoint=newest)
         else:
             outcome = checkpointed_collision_test(
                 payload["num_stations"],
                 store,
-                checkpoint_every_us=(runtime or {}).get(
-                    "checkpoint_every_us"
-                ),
+                checkpoint_every_us=runtime.get("checkpoint_every_us"),
                 plan=chaos,
                 **test_args,
             )
@@ -426,15 +416,7 @@ def _run_collision_test(
         from ..experiments.procedures import run_collision_test
 
         test = run_collision_test(payload["num_stations"], **test_args)
-    result = {
-        "num_stations": test.num_stations,
-        "duration_us": test.duration_us,
-        "per_station": [
-            [mac, int(acked), int(collided)]
-            for mac, acked, collided in test.per_station
-        ],
-        "goodput_mbps": test.goodput_mbps,
-    }
+    result = test.as_jsonable()
     if chaos_report is not None:
         result["chaos"] = chaos_report
     if capture is not None:

@@ -288,8 +288,12 @@ class Orchestrator:
 
     def _recover(self) -> None:
         """Reclaim every lease the previous incarnation held, then close
-        the ``result_commit`` crash window from the cache."""
+        the ``result_commit`` crash window from the cache.  A lease
+        this incarnation granted (a claim answered before ``serve``)
+        is live, not a leftover."""
         for record in self.state.by_state(TaskState.LEASED):
+            if record.task_id in self._leases:
+                continue
             self._append(
                 "lease_reclaimed",
                 task_id=record.task_id,

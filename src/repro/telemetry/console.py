@@ -91,7 +91,12 @@ class SweepStatus:
         if self.run_id is None and record.get("run_id"):
             self.run_id = record["run_id"]
         if event == "run_start":
-            self.run_start_t_s = record.get("t_s", 0.0)
+            # A trace may hold several runs (``sweep`` runs one per
+            # protocol): the next one reopens the view, and elapsed
+            # time counts from the first.
+            self.run_ended = False
+            if self.run_start_t_s is None:
+                self.run_start_t_s = record.get("t_s", 0.0)
             if record.get("epoch_s") is not None:
                 self.epoch_s = record["epoch_s"]
             return
@@ -285,7 +290,9 @@ def follow(
     clear: bool = True,
 ) -> SweepStatus:
     """Tail a run's trace, rendering frames via ``emit`` until the run
-    ends (or forever without a ``run_end``).
+    ends (or forever without a ``run_end``).  A run has ended once a
+    poll after its ``run_end`` adds no record: a trace that holds
+    several runs is followed into the next.
 
     ``once=True`` reads whatever exists right now, renders a single
     frame, and returns — the CI mode, also correct for finished runs.
@@ -295,14 +302,17 @@ def follow(
     frames = 0
     try:
         while True:
-            status.update_all(tailer.poll())
+            records = tailer.poll()
+            if frames and status.run_ended and not records:
+                break
+            status.update_all(records)
             frame = render_status(status)
             if clear and not once and frames > 0:
                 emit("\x1b[2J\x1b[H" + frame)
             else:
                 emit(frame)
             frames += 1
-            if once or status.run_ended:
+            if once:
                 break
             if max_frames is not None and frames >= max_frames:
                 break

@@ -1335,13 +1335,10 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
         print(f"sum collided          = {test.sum_collided}")
         print(f"collision probability = {test.collision_probability:.4f}")
         print(f"goodput at D          = {test.goodput_mbps:.2f} Mbps")
-        summary = {
-            "num_stations": test.num_stations,
-            "duration_us": test.duration_us,
-            "per_station": [list(row) for row in test.per_station],
-            "collision_probability": test.collision_probability,
-            "goodput_mbps": test.goodput_mbps,
-        }
+        summary = dict(
+            test.as_jsonable(),
+            collision_probability=test.collision_probability,
+        )
         if report is not None:
             for family, ledger in sorted(report["injection"].items()):
                 print(f"  {family}: {ledger}")

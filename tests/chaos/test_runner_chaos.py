@@ -1,6 +1,7 @@
 """Chaos plans through the runner: cache keying + bit-identity."""
 
 from repro.chaos.plan import preset_plan
+from repro.obs.recording import read_jsonl
 from repro.runner import ExperimentRunner, Task, TaskKind
 from repro.runner.cache import cache_key
 from repro.runner.tasks import execute_task
@@ -88,3 +89,40 @@ class TestBitIdentity:
     def test_plan_seed_changes_the_injection(self):
         a, b = ExperimentRunner(max_workers=1).run(_tasks((0, 7)))
         assert a["chaos"]["injection"] != b["chaos"]["injection"]
+
+
+class TestChaosSpan:
+    def test_every_path_records_the_same_spans(self, tmp_path):
+        """A chaos point records ``chaos_test`` under its ``attempt``
+        whether it runs straight through, checkpointed, or resumed
+        from a snapshot — the same span tree and the same result."""
+
+        def run(name, **config):
+            trace = tmp_path / f"{name}.jsonl"
+            runner = ExperimentRunner(
+                max_workers=1, trace_path=trace, **config
+            )
+            [result] = runner.run(_tasks((0,)))
+            starts = [
+                record
+                for record in read_jsonl(trace)
+                if record["event"] == "span_start"
+            ]
+            names = {record["span_id"]: record["name"] for record in starts}
+            spans = sorted(
+                (record["name"], names.get(record.get("parent_id")))
+                for record in starts
+            )
+            return result, spans, runner
+
+        checkpoints = dict(
+            checkpoint_dir=tmp_path / "ckpt", checkpoint_every_us=0.3e6
+        )
+        straight, straight_spans, _ = run("straight")
+        assert ("chaos_test", "attempt") in straight_spans
+        checkpointed, checkpointed_spans, _ = run("checkpointed", **checkpoints)
+        # The store keeps its snapshots: this run resumes from the newest.
+        resumed, resumed_spans, runner = run("resumed", **checkpoints)
+        assert runner.trace.of_kind("checkpoint_resume")
+        assert checkpointed == resumed == straight
+        assert checkpointed_spans == resumed_spans == straight_spans

@@ -206,6 +206,40 @@ class TestRemoteLeases:
         assert reason.startswith("watchdog: remote overrun")
 
 
+class TestPreServeClaim:
+    def test_lease_granted_before_serve_is_not_reclaimed(
+        self, tmp_path, baseline
+    ):
+        # An earlier incarnation admitted the task and closed; the next
+        # one answers a claim before its serve loop starts.
+        _orchestrator(tmp_path, baseline[0], max_workers=0).journal.close()
+        orch = Orchestrator(
+            ServiceConfig(
+                service_dir=tmp_path / "svc",
+                max_workers=0,
+                poll_interval_s=0.01,
+                drain_timeout_s=0.1,
+            )
+        )
+        shard = orch.remote_claim("w1")
+        task_id = shard["task_id"]
+        loop = threading.Thread(target=_serve, args=(orch,), daemon=True)
+        loop.start()
+        deadline = time.monotonic() + 30
+        while not orch.serving:
+            assert time.monotonic() < deadline, "never served"
+            time.sleep(0.01)
+        assert orch.remote_claim("w2") is None
+        assert orch.remote_heartbeat(task_id, "w1") is True
+        request_drain(orch.paths.root)
+        loop.join(timeout=30)
+        assert not loop.is_alive()
+        assert not _records(orch, "lease_reclaimed")
+        assert len(_records(orch, "lease_granted")) == 1
+        (released,) = _records(orch, "lease_released")
+        assert (released["task_id"], released["worker"]) == (task_id, "w1")
+
+
 class TestDrain:
     def test_local_worker_commits_within_drain_window(
         self, tmp_path, monkeypatch, baseline

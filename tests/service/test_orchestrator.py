@@ -147,6 +147,32 @@ class TestHappyPath:
         for attempt in attempts:
             assert starts[attempt["parent_id"]]["name"] == "point"
 
+    def test_chaos_point_records_chaos_test_span(self, tmp_path):
+        # Local workers checkpoint every collision test; the chaos span
+        # rides along as on the runner's straight-through path.
+        from repro.chaos.plan import preset_plan
+
+        task = Task(
+            kind=TaskKind.COLLISION_TEST,
+            payload={
+                "num_stations": 2,
+                "duration_us": 0.6e6,
+                "warmup_us": 0.2e6,
+                "seed": 1,
+                "chaos": preset_plan("full", 0.6e6, seed=0).as_jsonable(),
+            },
+        )
+        _submit(tmp_path / "svc", [task])
+        _serve(tmp_path / "svc", max_workers=1)
+        starts = {
+            record["span_id"]: record
+            for record in map(json.loads, _trace_lines(tmp_path / "svc"))
+            if record["event"] == "span_start"
+        }
+        chaos = [s for s in starts.values() if s["name"] == "chaos_test"]
+        assert len(chaos) == 1
+        assert starts[chaos[0]["parent_id"]]["name"] == "attempt"
+
 
 class TestDedupe:
     def test_resubmission_dedupes_completed_tasks(self, tmp_path):

@@ -37,6 +37,19 @@ def _trace(run_id="a" * 16):
     ]
 
 
+def _two_runs():
+    return [
+        {"event": "run_start", "t_s": 0.0, "run_id": "a" * 16},
+        {"event": "queued", "t_s": 0.1, "kind": "simulate"},
+        {"event": "started", "t_s": 0.2, "kind": "simulate"},
+        {"event": "finished", "t_s": 1.1, "kind": "simulate",
+         "duration_s": 0.9},
+        {"event": "run_end", "t_s": 1.2},
+        {"event": "run_start", "t_s": 1.2, "run_id": "b" * 16},
+        {"event": "queued", "t_s": 1.3, "kind": "simulate"},
+    ]
+
+
 class TestFolding:
     def test_counters(self):
         status = SweepStatus()
@@ -59,6 +72,16 @@ class TestFolding:
         # 1 completed (finished) over 2.1s elapsed, 1 remaining.
         eta = status.eta_s()
         assert eta is not None and abs(eta - 2.1) < 1e-9
+
+    def test_next_run_reopens_the_view(self):
+        # ``sweep`` runs once per protocol into one trace: a finished
+        # run followed by the start of the next is still running, and
+        # its elapsed time counts from the first run's start.
+        status = SweepStatus()
+        status.update_all(_two_runs())
+        assert not status.run_ended
+        assert abs(status.elapsed_s() - 1.3) < 1e-9
+        assert status.kinds["simulate"].queued == 2
 
     def test_run_end_zeroes_eta(self):
         status = SweepStatus()
@@ -140,6 +163,20 @@ class TestFollow:
         assert status.run_ended
         assert status.spans_seen == 1
         assert frames
+
+
+    def test_follow_continues_into_the_next_run(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        with open(trace, "w", encoding="utf-8") as handle:
+            for record in _two_runs():
+                handle.write(json.dumps(record) + "\n")
+        frames = []
+        status = follow(
+            trace, interval_s=0.01, max_frames=3, emit=frames.append
+        )
+        assert len(frames) == 3
+        assert not status.run_ended
+        assert "running" in frames[-1]
 
 
 class TestLiveFollow:
