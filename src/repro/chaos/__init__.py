@@ -4,7 +4,7 @@ Three parts (see ``docs/robustness.md`` for the full taxonomy):
 
 - **channel impairments** (:mod:`repro.chaos.impairments`) — bursty
   Gilbert–Elliott errors, impulsive-noise windows, per-station link
-  asymmetry, all as time-aware PB error models for the power strip;
+  asymmetry, all as time-varying PB error models for the power strip;
 - **device/MAC fault injection** (:mod:`repro.chaos.plan`,
   :mod:`repro.chaos.injector`) — a JSON-able, seedable
   :class:`~repro.chaos.plan.ChaosPlan` of SACK loss/corruption,

@@ -4,8 +4,9 @@ The paper's measurements run over real power strips whose channels are
 bursty and time-varying (§3), while the emulated medium defaults to
 :class:`repro.phy.channel.IdealChannel` and i.i.d.
 :class:`~repro.phy.channel.BernoulliPbErrors`.  This module supplies
-the missing realism as *time-aware* error models (the ``time_aware``
-protocol of :class:`repro.phy.channel.TimeAwareErrorModel`):
+the missing realism as error models that read the wire time
+:meth:`repro.phy.channel.PowerStrip.deliver_mpdu` passes to every
+:class:`~repro.phy.channel.ErrorModel`:
 
 - :class:`GilbertElliottPbErrors` — the classic two-state Markov burst
   model: a good state with rare PB errors and a bad state with
@@ -64,8 +65,6 @@ class GilbertElliottPbErrors:
     >>> abs(model.stationary_error_rate - 0.25) < 1e-12
     True
     """
-
-    time_aware = True
 
     def __init__(
         self,
@@ -160,8 +159,6 @@ class ImpulsiveNoiseBursts:
     maximum error probability.
     """
 
-    time_aware = True
-
     def __init__(
         self,
         windows: Sequence[Tuple[float, float, float]],
@@ -210,8 +207,6 @@ class AsymmetricLinkQuality:
     association time while the plan is keyed by MAC address).
     """
 
-    time_aware = True
-
     def __init__(
         self,
         probabilities: Union[Mapping[int, float], Callable[[int], float]],
@@ -243,12 +238,10 @@ class AsymmetricLinkQuality:
 class ComposedErrorModel:
     """OR-composition of several error models (independent causes).
 
-    A PB is errored if *any* component flags it.  Components may be
-    time-aware or not; every component is consulted on every MPDU so
-    stateful models (Gilbert–Elliott) keep evolving consistently.
+    A PB is errored if *any* component flags it.  Every component is
+    consulted on every MPDU, with the wire time, so stateful models
+    (Gilbert–Elliott) keep evolving consistently.
     """
-
-    time_aware = True
 
     def __init__(self, models: Sequence[object]) -> None:
         if not models:
@@ -258,10 +251,7 @@ class ComposedErrorModel:
     def pb_error_flags(self, mpdu: Mpdu, time_us: float = 0.0) -> List[bool]:
         combined: Optional[List[bool]] = None
         for model in self.models:
-            if getattr(model, "time_aware", False):
-                flags = model.pb_error_flags(mpdu, time_us)
-            else:
-                flags = model.pb_error_flags(mpdu)
+            flags = model.pb_error_flags(mpdu, time_us)
             if combined is None:
                 combined = list(flags)
             else:

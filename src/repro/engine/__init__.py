@@ -1,45 +1,33 @@
 """A small discrete-event simulation kernel (offline stand-in for SimPy).
 
-The kernel provides:
+The kernel holds what the emulated testbed runs:
 
-- :class:`Environment` — event queue, clock, ``run``/``step``;
-- :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` —
-  event primitives and composition;
-- :class:`Process` — generator-based coroutine processes with
-  interrupt support;
-- :class:`Resource`, :class:`Store` — shared resources;
-- :class:`RandomStreams` — named, reproducible random substreams.
+- :class:`Environment` — event queue, clock, ``run``/``step``, and the
+  exact-instant ``timeout_at``/``run_until_at`` a checkpoint restore
+  needs;
+- :class:`Event`, :class:`Timeout` — event primitives;
+- :class:`Process` — generator-based coroutine processes;
+- :class:`RandomStreams` — named, reproducible random substreams;
+- :mod:`repro.engine.marks` — the bookmarks that make processes
+  restartable from a checkpoint.
 
 The µs-resolution MAC emulation (:mod:`repro.mac`) and the HomePlug AV
 testbed emulation (:mod:`repro.hpav`) are built on this kernel.
 """
 
 from .environment import Environment
-from .errors import EmptySchedule, EngineError, Interrupt, StopSimulation
-from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
+from .errors import EmptySchedule, EngineError, StopSimulation
+from .events import Event, Timeout
 from .process import Process
-from .randomness import RandomStreams, uniform_backoff
-from .resources import Release, Request, Resource, Store, StoreGet, StorePut
+from .randomness import RandomStreams
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
-    "ConditionValue",
     "EmptySchedule",
     "EngineError",
     "Environment",
     "Event",
-    "Interrupt",
     "Process",
     "RandomStreams",
-    "Release",
-    "Request",
-    "Resource",
     "StopSimulation",
-    "Store",
-    "StoreGet",
-    "StorePut",
     "Timeout",
-    "uniform_backoff",
 ]

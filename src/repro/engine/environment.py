@@ -7,7 +7,7 @@ from math import inf
 from typing import Any, Generator, List, Optional, Tuple
 
 from .errors import EmptySchedule, StopSimulation
-from .events import AllOf, AnyOf, Event, NORMAL, Timeout
+from .events import Event, NORMAL, Timeout, URGENT
 from .process import Process
 
 __all__ = ["Environment"]
@@ -31,7 +31,6 @@ class Environment:
         self._now = initial_time
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
-        self._active_proc: Optional[Process] = None
         #: Optional engine monitor (e.g. ``repro.obs.profiler``); the
         #: ``is not None`` guard in :meth:`step` is the disabled fast path.
         self._monitor: Optional[Any] = None
@@ -44,11 +43,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_proc
 
     # -- monitoring ------------------------------------------------------
     @property
@@ -80,14 +74,6 @@ class Environment:
     def process(self, generator: Generator) -> Process:
         """Start a new :class:`Process` from ``generator``."""
         return Process(self, generator)
-
-    def any_of(self, events) -> AnyOf:
-        """Condition triggering when any of ``events`` triggers."""
-        return AnyOf(self, events)
-
-    def all_of(self, events) -> AllOf:
-        """Condition triggering when all of ``events`` have triggered."""
-        return AllOf(self, events)
 
     # -- scheduling ------------------------------------------------------
     def schedule(
@@ -124,7 +110,6 @@ class Environment:
         incarnation had already scheduled, as an exact float.
         """
         event = Event(self)
-        event._ok = True
         event._value = value
         self.schedule_at(event, at)
         return event
@@ -158,75 +143,49 @@ class Environment:
             monitor.event_end(event)
 
         if not event._ok and not event.defused:
-            # An event failed and nothing handled the failure.
-            exc = event._value
-            raise exc
+            # A process failed and no process waiting for it handled
+            # the failure.
+            raise event._value
 
-    def run(self, until: Optional[Any] = None) -> Any:
-        """Run until ``until`` (a time, an event, or exhaustion).
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until the clock reaches ``until``, or until no events
+        remain when ``until`` is ``None``.
 
-        - ``until`` is ``None``: run until no events remain.
-        - ``until`` is a number: run until the clock reaches it.
-        - ``until`` is an :class:`Event`: run until it is processed and
-          return its value.
+        The stop instant is ``now + (until - now)``, the float the
+        delay arithmetic of :meth:`timeout` gives;
+        :meth:`run_until_at` stops at an exact instant instead.
         """
-        if until is not None:
-            if isinstance(until, Event):
-                if until.callbacks is None:
-                    # Already processed.
-                    return until.value
-                until.callbacks.append(_stop_callback)
-            else:
-                at = float(until)
-                if at <= self._now:
-                    raise ValueError(
-                        f"until ({at}) must be greater than the current "
-                        f"simulation time ({self._now})"
-                    )
-                event = Event(self)
-                event._ok = True
-                event._value = None
-                self.schedule(event, priority=0, delay=at - self._now)
-                event.callbacks.append(_stop_callback)
+        if until is None:
+            self._run()
+        else:
+            now = self._now
+            self.run_until_at(now + (float(until) - now))
 
-        try:
-            while True:
-                self.step()
-        except StopSimulation as stop:
-            return stop.value
-        except EmptySchedule:
-            if isinstance(until, Event) and not until.triggered:
-                raise RuntimeError(
-                    "no scheduled events left but `until` event was not "
-                    "triggered"
-                ) from None
-        return None
-
-    def run_until_at(self, at: float) -> Any:
+    def run_until_at(self, at: float) -> None:
         """Run until the clock reaches the *exact* float ``at``.
 
-        :meth:`run` schedules its stop event via delay arithmetic
-        (``now + (at - now)``); a resumed simulation must instead stop
-        at the bit-exact instant the original run stopped at, which the
-        checkpoint records.  Semantics otherwise match ``run(until=at)``.
+        A resumed simulation must stop at the bit-exact instant the
+        original run stopped at, which the checkpoint records, rather
+        than re-derive it by delay arithmetic as :meth:`run` does.
         """
         if at <= self._now:
             raise ValueError(
                 f"until ({at}) must be greater than the current "
                 f"simulation time ({self._now})"
             )
-        event = Event(self)
-        event._ok = True
-        event._value = None
-        self.schedule_at(event, at, priority=0)
-        event.callbacks.append(_stop_callback)
+        stop = Event(self)
+        stop._value = None
+        self.schedule_at(stop, at, priority=URGENT)
+        stop.callbacks.append(_stop_callback)
+        self._run()
+
+    def _run(self) -> None:
+        """Step until a stop event fires or no events remain."""
         try:
             while True:
                 self.step()
-        except StopSimulation as stop:
-            return stop.value
-        except EmptySchedule:
-            return None
+        except (StopSimulation, EmptySchedule):
+            pass
 
     # -- checkpoint hooks -------------------------------------------------
     def clock_state(self) -> dict:
@@ -255,6 +214,4 @@ class Environment:
 
 def _stop_callback(event: Event) -> None:
     """Callback stopping :meth:`Environment.run` when ``event`` fires."""
-    if event._ok:
-        raise StopSimulation(event._value)
-    raise event._value
+    raise StopSimulation()

@@ -8,35 +8,12 @@ class EngineError(Exception):
 
 
 class StopSimulation(EngineError):
-    """Raised internally to halt :meth:`Environment.run` at ``until``.
+    """Raised by the stop event of :meth:`Environment.run_until_at`
+    (and so of ``run(until=...)``) to halt the loop at ``until``.
 
-    Users never need to raise this directly; it is also the mechanism
-    behind ``Environment.run(until=event)``.
+    Users never need to raise this directly.
     """
-
-    def __init__(self, value: object = None) -> None:
-        super().__init__(value)
-        self.value = value
 
 
 class EmptySchedule(EngineError):
     """Raised by :meth:`Environment.step` when no events remain."""
-
-
-class Interrupt(EngineError):
-    """Raised inside a process that another process interrupted.
-
-    Parameters
-    ----------
-    cause:
-        Arbitrary object describing why the interrupt happened.  It is
-        available as :attr:`cause` in the interrupted process.
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> object:
-        """The cause passed to :meth:`Process.interrupt`."""
-        return self.args[0]

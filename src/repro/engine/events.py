@@ -3,26 +3,22 @@
 The design follows the classic callback-driven architecture popularized
 by SimPy (which is unavailable in this offline environment): an
 :class:`Event` moves through three states — *pending*, *triggered*
-(scheduled with a value or an exception) and *processed* (its callbacks
-have run).  Processes (see :mod:`repro.engine.process`) suspend by
-yielding events and are resumed from the event's callback list.
+(scheduled with a value) and *processed* (its callbacks have run).
+Processes (see :mod:`repro.engine.process`) suspend by yielding events
+and are resumed from the event's callback list.
+
+The emulated testbed yields exactly two kinds of event: a
+:class:`Timeout` (or an exact-instant one from
+:meth:`Environment.timeout_at`) and a plain :class:`Event` that another
+process succeeds (the contention coordinator's work event).  A process
+is an event too, so a process can wait for another one.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Callable, List, Optional
 
-__all__ = [
-    "PENDING",
-    "URGENT",
-    "NORMAL",
-    "Event",
-    "Timeout",
-    "Condition",
-    "AnyOf",
-    "AllOf",
-    "ConditionValue",
-]
+__all__ = ["PENDING", "URGENT", "NORMAL", "Event", "Timeout"]
 
 #: Sentinel for the value of an event that has not been triggered yet.
 PENDING = object()
@@ -86,33 +82,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event as failed with ``exception``."""
-        if self.triggered:
-            raise RuntimeError(f"{self!r} has already been triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError(f"{exception!r} is not an exception")
-        self._ok = False
-        self._value = exception
-        self.env.schedule(self)
-        return self
-
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another event.
-
-        Used as a callback to chain events together.
-        """
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
-    # -- composition ---------------------------------------------------
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_events, [self, other])
-
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
 
 class Timeout(Event):
     """An event that fires after ``delay`` units of simulated time."""
@@ -126,140 +95,5 @@ class Timeout(Event):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         super().__init__(env)
-        self._delay = delay
-        self._ok = True
         self._value = value
         env.schedule(self, delay=delay)
-
-    def __repr__(self) -> str:
-        return f"<Timeout({self._delay}) object at {id(self):#x}>"
-
-    @property
-    def delay(self) -> float:
-        """The delay this timeout was created with."""
-        return self._delay
-
-
-class ConditionValue:
-    """Ordered mapping from events to values for triggered conditions."""
-
-    def __init__(self) -> None:
-        self.events: List[Event] = []
-
-    def __getitem__(self, key: Event) -> Any:
-        if key not in self.events:
-            raise KeyError(str(key))
-        return key._value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()}>"
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def keys(self) -> List[Event]:
-        return list(self.events)
-
-    def values(self) -> List[Any]:
-        return [e._value for e in self.events]
-
-    def items(self):
-        return [(e, e._value) for e in self.events]
-
-    def todict(self) -> dict:
-        return dict(self.items())
-
-
-class Condition(Event):
-    """Composite event that triggers when ``evaluate`` is satisfied.
-
-    ``evaluate`` receives the list of composed events and the count of
-    already-triggered ones, and returns ``True`` when the condition
-    holds.  :class:`AnyOf` and :class:`AllOf` are the common cases.
-    """
-
-    def __init__(
-        self,
-        env: "Environment",  # noqa: F821
-        evaluate: Callable[[List[Event], int], bool],
-        events: Iterable[Event],
-    ) -> None:
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("mixing events from different environments")
-
-        # Immediately evaluate in case of zero events or all-processed.
-        if self._evaluate(self._events, self._count):
-            self.succeed(ConditionValue())
-            return
-
-        for event in self._events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-    def _populate_value(self, value: ConditionValue) -> None:
-        for event in self._events:
-            if isinstance(event, Condition):
-                event._populate_value(value)
-            elif event.callbacks is None:
-                value.events.append(event)
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        self._count += 1
-        if not event._ok:
-            # A failed sub-event fails the condition.
-            event.defused = True
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._count):
-            value = ConditionValue()
-            # Collection of values happens at processing time so that
-            # simultaneous events are included.
-            self.succeed(value)
-            self.callbacks.insert(0, self._collect)
-
-    def _collect(self, _event: Event) -> None:
-        assert isinstance(self._value, ConditionValue)
-        self._populate_value(self._value)
-
-    @staticmethod
-    def all_events(events: List[Event], count: int) -> bool:
-        """Evaluator: all composed events have triggered."""
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events: List[Event], count: int) -> bool:
-        """Evaluator: at least one composed event has triggered."""
-        return count > 0 or not events
-
-
-class AnyOf(Condition):
-    """Condition that triggers when any of ``events`` triggers."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:  # noqa: F821
-        super().__init__(env, Condition.any_events, events)
-
-
-class AllOf(Condition):
-    """Condition that triggers when all of ``events`` have triggered."""
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:  # noqa: F821
-        super().__init__(env, Condition.all_events, events)

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
-from .errors import Interrupt
-from .events import Event, PENDING, URGENT
+from .events import Event, URGENT
 
-__all__ = ["Process", "Initialize", "Interruption"]
+__all__ = ["Process", "Initialize"]
 
 
 class Initialize(Event):
@@ -16,33 +15,8 @@ class Initialize(Event):
     def __init__(self, env: "Environment", process: "Process") -> None:  # noqa: F821
         super().__init__(env)
         self.callbacks = [process._resume]
-        self._ok = True
         self._value = None
         env.schedule(self, priority=URGENT)
-
-
-class Interruption(Event):
-    """Urgent event that delivers an :class:`Interrupt` to a process."""
-
-    def __init__(self, process: "Process", cause: object) -> None:
-        super().__init__(process.env)
-        self.callbacks = [self._interrupt]
-        self._ok = False
-        self._value = Interrupt(cause)
-        self.defused = True
-        self.process = process
-        self.env.schedule(self, priority=URGENT)
-
-    def _interrupt(self, event: Event) -> None:
-        process = self.process
-        if not process.is_alive:
-            # The process terminated before the interrupt could arrive.
-            return
-        # Unsubscribe the process from the event it is waiting for.
-        target = process._target
-        if target is not None and target.callbacks is not None:
-            target.callbacks.remove(process._resume)
-        process._resume(self)
 
 
 class Process(Event):
@@ -51,7 +25,9 @@ class Process(Event):
     The process suspends whenever the generator yields an
     :class:`Event` and resumes once that event is processed.  The
     process itself is an event that triggers when the generator
-    terminates (its value is the generator's return value).
+    terminates (its value is the generator's return value); a failed
+    process is a failed event, thrown into every process waiting for
+    it and otherwise raised out of :meth:`Environment.run`.
     """
 
     def __init__(self, env: "Environment", generator: Generator) -> None:  # noqa: F821
@@ -59,34 +35,15 @@ class Process(Event):
             raise ValueError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = Initialize(env, self)
+        Initialize(env, self)
 
     def __repr__(self) -> str:
         name = getattr(self._generator, "__name__", repr(self._generator))
         return f"<Process({name}) object at {id(self):#x}>"
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for."""
-        return self._target
-
-    @property
-    def is_alive(self) -> bool:
-        """``True`` until the generator terminates."""
-        return self._value is PENDING
-
-    def interrupt(self, cause: object = None) -> None:
-        """Interrupt this process, raising :class:`Interrupt` inside it."""
-        if not self.is_alive:
-            raise RuntimeError(f"{self!r} has terminated and cannot be interrupted")
-        if self is self.env.active_process:
-            raise RuntimeError("a process is not allowed to interrupt itself")
-        Interruption(self, cause)
-
     def _resume(self, event: Event) -> None:
         """Resume the generator with the value of ``event``."""
         env = self.env
-        env._active_proc = self
 
         while True:
             try:
@@ -97,8 +54,7 @@ class Process(Event):
                     # generator.  Mark it defused: the process now owns
                     # the error.
                     event.defused = True
-                    exc = event._value
-                    next_event = self._generator.throw(exc)
+                    next_event = self._generator.throw(event._value)
             except StopIteration as stop:
                 # Process finished.
                 self._ok = True
@@ -109,8 +65,6 @@ class Process(Event):
                 # Process failed.
                 self._ok = False
                 self._value = exc
-                # Remember the traceback for debugging.
-                self.defused = False
                 env.schedule(self)
                 break
 
@@ -123,17 +77,13 @@ class Process(Event):
                 error._value = TypeError(
                     f"process yielded a non-event: {next_event!r}"
                 )
-                error.defused = True
                 error.callbacks = None
                 event = error
                 continue
             if next_event.callbacks is not None:
                 # Event not yet processed: suspend until it is.
                 next_event.callbacks.append(self._resume)
-                self._target = next_event
                 break
             # Event already processed: continue immediately with its
             # value (or exception).
             event = next_event
-
-        env._active_proc = None

@@ -13,7 +13,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-__all__ = ["RandomStreams", "uniform_backoff"]
+__all__ = ["RandomStreams"]
 
 
 class RandomStreams:
@@ -134,12 +134,3 @@ def _key_words(key: tuple) -> list:
             words.append(acc)
     return words or [0]
 
-
-def uniform_backoff(rng: np.random.Generator, contention_window: int) -> int:
-    """Draw a backoff counter uniformly from {0, ..., CW - 1}.
-
-    This matches the reference simulator's ``unidrnd(CW) - 1``.
-    """
-    if contention_window < 1:
-        raise ValueError(f"contention window must be >= 1, got {contention_window}")
-    return int(rng.integers(0, contention_window))

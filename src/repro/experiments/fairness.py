@@ -160,10 +160,11 @@ def fairness_by_testbed(
     rebuild bursts, and score the time-ordered sequence of burst
     sources.
     """
+    from .procedures import warm_up
     from .testbed import build_testbed
 
     tb = build_testbed(num_stations, seed=seed, enable_sniffer=True)
-    tb.run_until(warmup_us)
+    warm_up(tb, warmup_us)
     assert tb.faifa is not None
     tb.faifa.clear()
     tb.run_until(tb.env.now + duration_us)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence
 
+from .procedures import warm_up
 from .testbed import build_testbed
 
 __all__ = ["MmeOverheadResult", "measure_mme_overhead"]
@@ -40,7 +41,7 @@ def measure_mme_overhead(
     tb = build_testbed(
         num_stations, seed=seed, enable_sniffer=True, **testbed_kwargs
     )
-    tb.run_until(warmup_us)
+    warm_up(tb, warmup_us)
     assert tb.faifa is not None
     tb.faifa.clear()  # §3.2-style reset at the start of the test
     start = tb.env.now

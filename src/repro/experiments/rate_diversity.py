@@ -14,13 +14,10 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence
 
-from ..engine.environment import Environment
-from ..engine.randomness import RandomStreams
-from ..hpav.network import Avln
 from ..phy.rates import LinkRateTable
 from ..phy.timing import PhyTiming
-from ..traffic.generators import SaturatedSource
-from ..traffic.packets import mac_address
+from .procedures import warm_up
+from .testbed import build_testbed
 
 __all__ = ["RateDiversityResult", "rate_diversity_experiment"]
 
@@ -58,25 +55,14 @@ def rate_diversity_experiment(
     ``slow_snr_db`` and its MPDUs stretch accordingly (rate-based
     airtime, no fixed MPDU duration).
     """
-    env = Environment()
-    streams = RandomStreams(seed)
     rates = LinkRateTable()
-    timing = PhyTiming(fixed_mpdu_airtime_us=None, link_rates=rates)
-    avln = Avln(env, streams, timing=timing)
-
-    destination = avln.add_device(mac_address(0), is_cco=True)
-    stations = [
-        avln.add_device(mac_address(i + 1)) for i in range(num_stations)
-    ]
-    sources = [
-        SaturatedSource(env, station, destination.mac_addr)
-        for station in stations
-    ]
-    del sources
-
-    env.run(until=warmup_us)
-    if not avln.all_associated:
-        env.run(until=warmup_us + 1e6)
+    tb = build_testbed(
+        num_stations,
+        seed=seed,
+        timing=PhyTiming(fixed_mpdu_airtime_us=None, link_rates=rates),
+    )
+    warm_up(tb, warmup_us)
+    destination, stations = tb.destination, tb.stations
     slow_rate = None
     if slow_snr_db is not None:
         rates.set_station_snr(stations[0].tei, slow_snr_db)
@@ -90,9 +76,9 @@ def rate_diversity_experiment(
         ).acked
         for station in stations
     }
-    start = env.now
-    env.run(until=start + duration_us)
-    elapsed = env.now - start
+    start = tb.env.now
+    tb.run_until(start + duration_us)
+    elapsed = tb.env.now - start
 
     frames = {
         station.mac_addr: destination.firmware.link(
@@ -103,7 +89,7 @@ def rate_diversity_experiment(
     }
     goodput = (destination.received_bytes - rx_bytes_before) * 8.0 / elapsed
     airtime_share = {
-        station.mac_addr: avln.coordinator.log.airtime_share(station.tei)
+        station.mac_addr: tb.avln.coordinator.log.airtime_share(station.tei)
         for station in stations
     }
     return RateDiversityResult(

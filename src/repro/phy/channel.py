@@ -25,7 +25,6 @@ from .framing import Mpdu, SofDelimiter
 __all__ = [
     "SofObservation",
     "ErrorModel",
-    "TimeAwareErrorModel",
     "IdealChannel",
     "BernoulliPbErrors",
     "PowerStrip",
@@ -43,32 +42,22 @@ class SofObservation:
 
 
 class ErrorModel(Protocol):
-    """Per-PB channel error hook."""
+    """Per-PB channel error hook.
 
-    def pb_error_flags(self, mpdu: Mpdu) -> List[bool]:
-        """Return an error flag per physical block of ``mpdu``."""
-
-
-class TimeAwareErrorModel(Protocol):
-    """Per-PB error hook for time-varying channels.
-
-    A model advertises this interface with a truthy ``time_aware``
-    class attribute; :meth:`PowerStrip.deliver_mpdu` then passes the
-    wire time so bursty/scheduled impairments (Gilbert–Elliott states,
-    impulsive-noise windows — :mod:`repro.chaos.impairments`) can
-    evolve with the simulation clock instead of the call count alone.
+    :meth:`PowerStrip.deliver_mpdu` passes the wire time, so bursty or
+    scheduled impairments (Gilbert–Elliott states, impulsive-noise
+    windows — :mod:`repro.chaos.impairments`) evolve with the
+    simulation clock; time-invariant models ignore it.
     """
 
-    time_aware: bool
-
-    def pb_error_flags(self, mpdu: Mpdu, time_us: float) -> List[bool]:
+    def pb_error_flags(self, mpdu: Mpdu, time_us: float = 0.0) -> List[bool]:
         """Error flag per physical block of ``mpdu`` at ``time_us``."""
 
 
 class IdealChannel:
     """No channel errors (the paper's operating assumption)."""
 
-    def pb_error_flags(self, mpdu: Mpdu) -> List[bool]:
+    def pb_error_flags(self, mpdu: Mpdu, time_us: float = 0.0) -> List[bool]:
         return [False] * max(mpdu.num_blocks, 1)
 
 
@@ -81,7 +70,7 @@ class BernoulliPbErrors:
         self.pb_error_probability = pb_error_probability
         self.rng = rng
 
-    def pb_error_flags(self, mpdu: Mpdu) -> List[bool]:
+    def pb_error_flags(self, mpdu: Mpdu, time_us: float = 0.0) -> List[bool]:
         n = max(mpdu.num_blocks, 1)
         return list(self.rng.random(n) < self.pb_error_probability)
 
@@ -188,11 +177,7 @@ class PowerStrip:
                 f"(source_tei={mpdu.source_tei}, dest_tei={mpdu.dest_tei}); "
                 "attach at least one transceiver before transmitting"
             )
-        model = self.error_model
-        if getattr(model, "time_aware", False):
-            flags = model.pb_error_flags(mpdu, time_us)
-        else:
-            flags = model.pb_error_flags(mpdu)
+        flags = self.error_model.pb_error_flags(mpdu, time_us)
         if not any(flags):
             self.delivered_mpdus += 1
             for handler in list(self._receivers):

@@ -51,7 +51,7 @@ class BatchRunner(ExperimentRunner):
     cache_dir:
         Optional on-disk result cache, shared bit-for-bit with every
         other runner path (see module docstring).
-    trace_path / metrics_path / telemetry_dir:
+    trace_path / telemetry_dir:
         Telemetry outputs, with the semantics of
         :class:`~repro.runner.runner.RunnerConfig`.
     """
@@ -61,14 +61,12 @@ class BatchRunner(ExperimentRunner):
         cache_dir: _PathLike = None,
         *,
         trace_path: _PathLike = None,
-        metrics_path: _PathLike = None,
         telemetry_dir: _PathLike = None,
     ) -> None:
         super().__init__(
             max_workers=1,
             cache_dir=cache_dir,
             trace_path=trace_path,
-            metrics_path=metrics_path,
             telemetry_dir=telemetry_dir,
         )
 

@@ -144,23 +144,23 @@ class RunnerConfig:
         file at run start, as points complete (at most every 0.5 s)
         and when the run ends — so ``repro-plc top`` can follow it.
         The stream holds the task lifecycle events and the run's
-        spans (sweep → point → attempt, plus chaos/checkpoint scopes);
-        an ambient :class:`~repro.telemetry.context.TelemetryContext`
+        spans (sweep → point → attempt, plus ``chaos_test`` under a
+        chaos point's attempt, and a ``checkpoint_resume`` lifecycle
+        event for an attempt that resumed from a snapshot); an
+        ambient :class:`~repro.telemetry.context.TelemetryContext`
         is active for the duration of each ``run()``, and every JSONL
         line any layer writes during the run (obs traces, chaos
-        ledgers, checkpoint journals) is stamped with the run's
-        ``run_id``.  ``None`` (default) records no span and activates
-        no context — the zero-cost path.
-    metrics_path:
-        When set, the runner's counters are rendered to this file in
-        OpenMetrics text format on the same schedule — the Prometheus
-        textfile-collector pattern.
+        ledgers, the checkpoint stores' ``journal.jsonl`` of saves and
+        resumes) is stamped with the run's ``run_id``.  ``None``
+        (default) records no span and activates no context — the
+        zero-cost path.
     telemetry_dir:
-        Convenience switch: setting it defaults ``trace_path`` and
-        ``metrics_path`` to ``trace.jsonl`` and ``metrics.prom`` inside
-        the directory (the layout ``repro-plc top`` and ``repro-plc
-        report`` expect).  Explicitly-set paths win over the derived
-        ones.
+        Telemetry directory (the layout ``repro-plc top`` and
+        ``repro-plc report`` expect): the run's stream goes to its
+        ``trace.jsonl`` unless ``trace_path`` is set, and the runner's
+        counters are rendered to its ``metrics.prom`` in OpenMetrics
+        text format on the same schedule — the Prometheus
+        textfile-collector pattern.
     checkpoint_dir:
         When set, ``simulate`` and ``collision_test`` points snapshot
         their full simulation state into
@@ -199,18 +199,13 @@ class RunnerConfig:
     checkpoint_dir: Optional[Union[str, Path]] = None
     checkpoint_every_us: Optional[float] = None
     resume: bool = True
-    metrics_path: Optional[Union[str, Path]] = None
     telemetry_dir: Optional[Union[str, Path]] = None
 
     def __post_init__(self) -> None:
-        if self.telemetry_dir is not None:
-            base = Path(self.telemetry_dir)
-            if self.trace_path is None:
-                object.__setattr__(self, "trace_path", base / "trace.jsonl")
-            if self.metrics_path is None:
-                object.__setattr__(
-                    self, "metrics_path", base / "metrics.prom"
-                )
+        if self.telemetry_dir is not None and self.trace_path is None:
+            object.__setattr__(
+                self, "trace_path", Path(self.telemetry_dir) / "trace.jsonl"
+            )
         if (
             self.checkpoint_every_us is not None
             and self.checkpoint_every_us <= 0
@@ -476,18 +471,17 @@ class ExperimentRunner:
         metrics file is advisory output, not part of the results.
         """
         cfg = self.config
-        if cfg.trace_path is None and cfg.metrics_path is None:
+        if cfg.trace_path is None:
             return
         now = time.monotonic()
         if not force and now - self._last_flush < 0.5:
             return
         self._last_flush = now
-        if cfg.trace_path is not None:
-            self.trace.flush_jsonl(cfg.trace_path)
-        if cfg.metrics_path is not None:
+        self.trace.flush_jsonl(cfg.trace_path)
+        if cfg.telemetry_dir is not None:
             try:
                 write_openmetrics(
-                    cfg.metrics_path,
+                    Path(cfg.telemetry_dir) / "metrics.prom",
                     runner_counters=self.counters,
                     run_id=self.run_id,
                 )

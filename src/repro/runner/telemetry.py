@@ -2,15 +2,17 @@
 
 The runner emits one :class:`TaskEvent` per lifecycle transition of
 every task it schedules — ``queued``, ``cache_hit``, ``started``,
-``retried``, ``timeout``, ``failed``, ``finished`` — plus run-level
-events (``run_start``, ``run_end``, and ``pool_rebuild`` for each
-worker replaced).  When the run writes a trace file, the same
+``retried``, ``timeout``, ``failed``, ``checkpoint_resume`` (the
+attempt picked its point up from a snapshot; saves are recorded only
+in each checkpoint store's own ``journal.jsonl``), ``finished`` — plus
+run-level events (``run_start``, ``run_end``, and ``pool_rebuild`` for
+each worker replaced).  When the run writes a trace file, the same
 :class:`TraceRecorder` also records its *spans* — the timed scopes of
-the run (sweep → point → attempt, chaos episodes, checkpoint saves) —
-as paired ``span_start``/``span_end`` events.  Both kinds share one
-event list, one clock and one ``run_id``, and append to one JSONL file
-(one event object per line): what ``repro-plc ... --trace FILE`` and
-the ``trace.jsonl`` of a ``--telemetry-dir`` hold.
+the run (sweep → point → attempt, chaos episodes) — as paired
+``span_start``/``span_end`` events.  Both kinds share one event list,
+one clock and one ``run_id``, and append to one JSONL file (one event
+object per line): what ``repro-plc ... --trace FILE`` and the
+``trace.jsonl`` of a ``--telemetry-dir`` hold.
 
 Paired span records (rather than one record at close) are what make
 the file tail-able: a live console shows in-flight spans, and a

@@ -4,7 +4,7 @@ Given a telemetry directory (the ``--telemetry-dir`` of a finished —
 or crashed — run, holding its ``trace.jsonl``: lifecycle events and
 spans in one stream), build one report object with:
 
-- the **span tree** (run → point → attempt → chaos/checkpoint scopes),
+- the **span tree** (run → point → attempt → chaos episodes),
   with durations, statuses, and still-open spans marked (a crashed run
   shows exactly which scopes never closed);
 - the **critical path**: from each root span, repeatedly descend into

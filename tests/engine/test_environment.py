@@ -35,35 +35,10 @@ def test_run_until_past_time_raises():
         env.run(until=0.5)
 
 
-def test_run_until_event_returns_value():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(3.0)
-        return "done"
-
-    process = env.process(proc(env))
-    assert env.run(until=process) == "done"
-    assert env.now == 3.0
-
-
 def test_process_rejects_non_generator():
     env = Environment()
     with pytest.raises(ValueError):
         env.process([1, 2, 3])
-
-
-def test_run_until_processed_event_returns_immediately():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(1.0)
-        return 42
-
-    process = env.process(proc(env))
-    env.run()
-    # Process already finished; run(until=...) returns its value.
-    assert env.run(until=process) == 42
 
 
 def test_step_raises_on_empty_schedule():
@@ -126,22 +101,6 @@ def test_run_without_until_drains_everything():
     env.process(proc(env))
     env.run()
     assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
-
-
-def test_until_event_never_triggered_raises():
-    env = Environment()
-    pending = env.event()  # never succeeds
-    env.timeout(1.0)
-    with pytest.raises(RuntimeError):
-        env.run(until=pending)
-
-
-def test_failed_unhandled_event_propagates():
-    env = Environment()
-    event = env.event()
-    event.fail(RuntimeError("boom"))
-    with pytest.raises(RuntimeError, match="boom"):
-        env.run()
 
 
 def test_nested_process_start():

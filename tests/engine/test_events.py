@@ -1,8 +1,8 @@
-"""Tests for Event, Timeout and condition composition."""
+"""Tests for Event and Timeout."""
 
 import pytest
 
-from repro.engine import AllOf, AnyOf, Environment, Event, Timeout
+from repro.engine import Environment
 
 
 def test_event_starts_untriggered():
@@ -36,21 +36,6 @@ def test_double_succeed_raises():
         event.succeed()
 
 
-def test_fail_requires_exception():
-    env = Environment()
-    with pytest.raises(TypeError):
-        env.event().fail("not an exception")
-
-
-def test_fail_sets_not_ok():
-    env = Environment()
-    event = env.event().fail(ValueError("x"))
-    event.defused = True
-    assert event.triggered
-    assert not event.ok
-    env.run()
-
-
 def test_negative_timeout_raises():
     env = Environment()
     with pytest.raises(ValueError):
@@ -70,12 +55,6 @@ def test_timeout_value_passthrough():
     assert captured == ["tick"]
 
 
-def test_timeout_delay_property():
-    env = Environment()
-    assert Timeout(env, 4.2).delay == 4.2
-    env.run()
-
-
 def test_callbacks_fire_on_processing():
     env = Environment()
     seen = []
@@ -84,96 +63,3 @@ def test_callbacks_fire_on_processing():
     env.run()
     assert seen == [event]
     assert event.processed
-
-
-def test_any_of_triggers_on_first():
-    env = Environment()
-    results = []
-
-    def proc(env):
-        t1 = env.timeout(1.0, value="fast")
-        t2 = env.timeout(5.0, value="slow")
-        condition = yield AnyOf(env, [t1, t2])
-        results.append(dict(condition.items()))
-
-    env.process(proc(env))
-    env.run()
-    assert len(results) == 1
-    assert list(results[0].values()) == ["fast"]
-
-
-def test_all_of_waits_for_all():
-    env = Environment()
-    done_at = []
-
-    def proc(env):
-        t1 = env.timeout(1.0)
-        t2 = env.timeout(5.0)
-        yield AllOf(env, [t1, t2])
-        done_at.append(env.now)
-
-    env.process(proc(env))
-    env.run()
-    assert done_at == [5.0]
-
-
-def test_or_operator_builds_any_condition():
-    env = Environment()
-    t_at = []
-
-    def proc(env):
-        yield env.timeout(1.0) | env.timeout(9.0)
-        t_at.append(env.now)
-
-    env.process(proc(env))
-    env.run(until=2.0)
-    assert t_at == [1.0]
-
-
-def test_and_operator_builds_all_condition():
-    env = Environment()
-    t_at = []
-
-    def proc(env):
-        yield env.timeout(1.0) & env.timeout(3.0)
-        t_at.append(env.now)
-
-    env.process(proc(env))
-    env.run()
-    assert t_at == [3.0]
-
-
-def test_empty_any_of_triggers_immediately():
-    env = Environment()
-    condition = AnyOf(env, [])
-    assert condition.triggered
-
-
-def test_condition_rejects_foreign_environment():
-    env_a, env_b = Environment(), Environment()
-    t = env_b.timeout(1.0)
-    with pytest.raises(ValueError):
-        AnyOf(env_a, [t])
-    env_b.run()
-
-
-def test_failed_subevent_fails_condition():
-    env = Environment()
-    caught = []
-
-    def proc(env):
-        bad = env.event()
-        good = env.timeout(10.0)
-        env.process(_failer(env, bad))
-        try:
-            yield bad | good
-        except RuntimeError as exc:
-            caught.append(str(exc))
-
-    def _failer(env, event):
-        yield env.timeout(1.0)
-        event.fail(RuntimeError("sub-failure"))
-
-    env.process(proc(env))
-    env.run()
-    assert caught == ["sub-failure"]

@@ -1,8 +1,8 @@
-"""Tests for generator-based processes and interrupts."""
+"""Tests for generator-based processes."""
 
 import pytest
 
-from repro.engine import Environment, Interrupt
+from repro.engine import Environment
 
 
 def test_process_return_value_is_event_value():
@@ -15,108 +15,6 @@ def test_process_return_value_is_event_value():
     process = env.process(proc(env))
     env.run()
     assert process.value == 99
-
-
-def test_process_is_alive_until_done():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(2.0)
-
-    process = env.process(proc(env))
-    assert process.is_alive
-    env.run()
-    assert not process.is_alive
-
-
-def test_interrupt_delivers_cause():
-    env = Environment()
-    causes = []
-
-    def victim(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            causes.append(interrupt.cause)
-
-    def attacker(env, victim_process):
-        yield env.timeout(1.0)
-        victim_process.interrupt(cause="stop it")
-
-    victim_process = env.process(victim(env))
-    env.process(attacker(env, victim_process))
-    env.run()
-    assert causes == ["stop it"]
-
-
-def test_interrupt_unsubscribes_from_target():
-    env = Environment()
-    resumed = []
-
-    def victim(env):
-        try:
-            yield env.timeout(10.0)
-            resumed.append("timeout")
-        except Interrupt:
-            yield env.timeout(1.0)
-            resumed.append("recovered")
-
-    def attacker(env, victim_process):
-        yield env.timeout(2.0)
-        victim_process.interrupt()
-
-    victim_process = env.process(victim(env))
-    env.process(attacker(env, victim_process))
-    env.run()
-    # The interrupted timeout must not also resume the process later.
-    assert resumed == ["recovered"]
-    assert env.now == 10.0  # the original timeout still fired, unheard
-
-
-def test_interrupting_dead_process_raises():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    process = env.process(quick(env))
-    env.run()
-    with pytest.raises(RuntimeError):
-        process.interrupt()
-
-
-def test_self_interrupt_forbidden():
-    env = Environment()
-    errors = []
-
-    def proc(env):
-        me = env.active_process
-        try:
-            me.interrupt()
-        except RuntimeError as exc:
-            errors.append(str(exc))
-        yield env.timeout(1.0)
-
-    env.process(proc(env))
-    env.run()
-    assert len(errors) == 1
-
-
-def test_uncaught_interrupt_kills_process():
-    env = Environment()
-
-    def victim(env):
-        yield env.timeout(100.0)
-
-    def attacker(env, victim_process):
-        yield env.timeout(1.0)
-        victim_process.interrupt("bang")
-
-    victim_process = env.process(victim(env))
-    env.process(attacker(env, victim_process))
-    with pytest.raises(Interrupt):
-        env.run()
-    assert not victim_process.is_alive
 
 
 def test_process_exception_propagates_if_unhandled():
@@ -159,18 +57,6 @@ def test_yield_non_event_fails_process():
     env.process(bad(env))
     with pytest.raises(TypeError):
         env.run()
-
-
-def test_process_target_tracks_waited_event():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(5.0)
-
-    process = env.process(proc(env))
-    env.run(until=1.0)
-    assert process.target is not None
-    env.run()
 
 
 def test_immediately_returning_process():

@@ -1,9 +1,8 @@
 """Tests for seeded random substreams."""
 
 import numpy as np
-import pytest
 
-from repro.engine import RandomStreams, uniform_backoff
+from repro.engine import RandomStreams
 
 
 def test_same_seed_same_draws():
@@ -129,33 +128,3 @@ def test_repeated_scenario_reps_are_reseeded():
     assert [
         (r.successes, r.collisions, r.idle_slots) for r in again
     ] == counters
-
-
-def test_uniform_backoff_bounds():
-    rng = np.random.default_rng(0)
-    draws = [uniform_backoff(rng, 8) for _ in range(1000)]
-    assert min(draws) == 0
-    assert max(draws) == 7
-    assert set(draws) == set(range(8))
-
-
-def test_uniform_backoff_cw_one_always_zero():
-    rng = np.random.default_rng(0)
-    assert all(uniform_backoff(rng, 1) == 0 for _ in range(10))
-
-
-def test_uniform_backoff_rejects_bad_cw():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        uniform_backoff(rng, 0)
-
-
-def test_uniform_backoff_matches_unidrnd_semantics():
-    """The reference simulator draws unidrnd(CW)-1 ∈ {0..CW-1}."""
-    rng = np.random.default_rng(123)
-    counts = np.bincount(
-        [uniform_backoff(rng, 4) for _ in range(8000)], minlength=4
-    )
-    # Roughly uniform over the 4 values.
-    assert counts.min() > 1700
-    assert counts.max() < 2300

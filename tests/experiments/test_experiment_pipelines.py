@@ -101,6 +101,25 @@ class TestFairness:
         assert result.capture_probability > 0.5  # 1901 channel capture
 
 
+class TestShortWarmUp:
+    """Stations associate between 10 and 50 ms in, so a 10 ms warm-up
+    ends before association; the §3.2 warm-up extends it, and only the
+    stations' TEIs (D, the CCo, is TEI 1) are scored — never the
+    unassociated TEI 0."""
+
+    def test_fairness_scores_only_the_stations(self):
+        result = fairness_by_testbed(
+            3, duration_us=2e6, warmup_us=1e4, seed=1
+        )
+        assert result.num_stations == 3
+
+    def test_mme_overhead_counts_only_the_stations(self):
+        result = measure_mme_overhead(
+            3, duration_us=2e6, warmup_us=1e4, seed=1
+        )
+        assert sorted(result.bursts_per_source) == [2, 3, 4]
+
+
 class TestProtocolSweep:
     def test_sweep_labels(self):
         series = standard_protocol_sweep(

@@ -122,3 +122,16 @@ class TestErrorModels:
         strip.attach(lambda m, t: None)
         strip.deliver_mpdu(mpdu(), 0.0)
         assert strip.delivered_mpdus == 1
+
+    def test_every_model_gets_the_wire_time(self):
+        seen = []
+
+        class Recording:
+            def pb_error_flags(self, mpdu, time_us=0.0):
+                seen.append(time_us)
+                return [False] * max(mpdu.num_blocks, 1)
+
+        strip = PowerStrip(error_model=Recording())
+        strip.attach(lambda m, t: None)
+        strip.deliver_mpdu(mpdu(), 42.0)
+        assert seen == [42.0]

@@ -88,7 +88,8 @@ def test_sequential_timeouts_accumulate_exactly(chain):
         return env.now
 
     process = env.process(runner(env))
-    result = env.run(until=process)
+    env.run()
+    result = process.value
     assert result == env.now
     # Accumulation matches a float sum of the same order.
     expected = 0.0

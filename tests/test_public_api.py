@@ -85,3 +85,18 @@ def test_headline_api_importable():
     from repro.boost import boost_report  # noqa: F401
     from repro.experiments import build_testbed  # noqa: F401
     from repro.tools import Ampstat, Faifa  # noqa: F401
+
+
+def test_engine_holds_only_what_the_testbed_runs():
+    import repro.engine
+
+    assert sorted(repro.engine.__all__) == [
+        "EmptySchedule",
+        "EngineError",
+        "Environment",
+        "Event",
+        "Process",
+        "RandomStreams",
+        "StopSimulation",
+        "Timeout",
+    ]
