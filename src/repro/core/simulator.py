@@ -2,10 +2,18 @@
 
 This is a faithful generalization of the reference MATLAB simulator
 listed in §4.2 of the paper (``sim_1901``).  The main loop is the same
-renewal structure: every iteration is one *slot event*, which is either
-an idle slot (advancing time by the slot duration), a successful
-transmission (advancing by ``Ts``) or a collision (advancing by
-``Tc``).  Stations' counters evolve per :class:`repro.core.station.Station`.
+renewal structure over *slot events*, each either an idle slot
+(advancing time by the slot duration), a successful transmission
+(advancing by ``Ts``) or a collision (advancing by ``Tc``).  Stations'
+counters evolve per :class:`repro.core.station.Station`.
+
+An iteration is one slot event, except for a run of idle slots that no
+station can end: when every station is IDLE, none can attempt for
+``min(BC) - 1`` slot events (:attr:`Station.quiet_slots`), and one
+iteration takes that run whole.  It adds the slot duration once per
+skipped slot and stops where the slot-by-slot loop stops, so every
+result, timestamp and pause point is bit-identical.  A run that records
+each slot (``record_slots=True``) steps slot by slot.
 
 Generalizations over the listing (each individually defaulting to the
 listing's behaviour):
@@ -74,7 +82,8 @@ class SlotSimulator:
         Keep a :class:`TransmissionRecord` per channel event.
     record_slots:
         Additionally keep a full counter snapshot per slot event
-        (memory-heavy; use for short runs such as Figure 1).
+        (memory-heavy; use for short runs such as Figure 1).  Such a
+        run steps every idle slot event instead of skipping idle runs.
     record_delays:
         Record the MAC access delay of every delivered frame.
     streams:
@@ -155,8 +164,9 @@ class SlotSimulator:
 
         Returns ``True`` once the simulation has finished.  Pausing
         happens only *between* slot events, so a run interleaved with
-        any number of pauses (and checkpoint snapshots) executes the
-        exact same iterations as an uninterrupted one.
+        any number of pauses (and checkpoint snapshots) takes the
+        exact same slot events as an uninterrupted one (a run of idle
+        slot events skipped in one step ends at the pause).
         """
         if self._state is None:
             self._initialize()
@@ -179,6 +189,9 @@ class SlotSimulator:
         sim_time = scenario.sim_time_us
 
         paused = False
+        # Only a stepped idle slot event leaves every station IDLE, so
+        # only after one can a run of idle slot events be skipped.
+        after_idle = False
         while t <= sim_time:
             if pause_at_us is not None and t >= pause_at_us:
                 paused = True
@@ -192,6 +205,33 @@ class SlotSimulator:
                     stations[i].reset_for_new_frame()
                     frame_start[i] = t
 
+            # A run of slot events in which no station can attempt is
+            # taken in one step, unless each slot is recorded.  It
+            # stops where the slot-by-slot loop would, and adds ``slot``
+            # once per slot event so every timestamp stays the same.
+            if after_idle and not self.record_slots:
+                after_idle = False
+                quiet = min([station.quiet_slots for station in stations])
+                if quiet > 0:
+                    skipped = 1
+                    start = t
+                    t += slot
+                    while skipped < quiet and t <= sim_time and (
+                        pause_at_us is None or t < pause_at_us
+                    ):
+                        start = t
+                        t += slot
+                        skipped += 1
+                    for station in stations:
+                        station.skip_idle(skipped)
+                    idle_slots += skipped
+                    # The loop would have accounted arrivals at the
+                    # start of each skipped slot event.
+                    for proc in arrivals:
+                        if proc is not None:
+                            proc.advance(start)
+                    continue
+
             # Contention phase.
             attempt_indices = [
                 i for i, station in enumerate(stations) if station.step()
@@ -204,6 +244,7 @@ class SlotSimulator:
                 idle_slots += 1
                 dt = slot
                 winner = None
+                after_idle = True
             elif count == 1:
                 outcome = SlotOutcome.SUCCESS
                 successes += 1

@@ -34,8 +34,9 @@ class RateDiversityResult:
     #: Payload rate (Mbps) of the slow station's link, if any.
     slow_link_rate_mbps: Optional[float]
     duration_us: float
-    #: Fraction of busy airtime each station's transmissions used
-    #: (keyed by station MAC; the anomaly's smoking gun).
+    #: Fraction of the window's busy airtime each station's
+    #: transmissions used (keyed by station MAC; the anomaly's smoking
+    #: gun).
     airtime_share: Dict[str, float] = dataclasses.field(
         default_factory=dict
     )
@@ -69,6 +70,8 @@ def rate_diversity_experiment(
         slow_rate = rates.rate_mbps(stations[0].tei, destination.tei)
 
     # Measure over the test window only.
+    log = tb.avln.coordinator.log
+    airtime_before = dict(log.airtime_by_source)
     rx_bytes_before = destination.received_bytes
     frames_before = {
         station.mac_addr: destination.firmware.link(
@@ -88,8 +91,15 @@ def rate_diversity_experiment(
         for station in stations
     }
     goodput = (destination.received_bytes - rx_bytes_before) * 8.0 / elapsed
+    airtime = {
+        tei: used - airtime_before.get(tei, 0.0)
+        for tei, used in log.airtime_by_source.items()
+    }
+    busy = sum(airtime.values())
     airtime_share = {
-        station.mac_addr: tb.avln.coordinator.log.airtime_share(station.tei)
+        station.mac_addr: (
+            airtime.get(station.tei, 0.0) / busy if busy > 0 else 0.0
+        )
         for station in stations
     }
     return RateDiversityResult(

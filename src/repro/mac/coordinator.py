@@ -10,7 +10,13 @@ structure as a process on the discrete-event engine:
 2. priority resolution: the highest pending class wins (busy-tone
    signalling, §2), lower classes defer with frozen counters;
 3. contention slots: every contending node's backoff FSM steps exactly
-   as in the slot-synchronous simulator;
+   as in the slot-synchronous simulator, and, as there, a run of idle
+   slots that no contender can end (:attr:`Station.quiet_slots`) is
+   taken as one timeout.  The run stops before the next scheduled
+   event, so no other process runs inside it, and within
+   ``max_idle_slots_between_prs``; its end adds the slot duration once
+   per slot, so every instant matches slot-by-slot stepping.  A probe
+   sees every slot, so with one attached each slot is stepped;
 4. on an attempt: put the winning burst (or the colliding bursts'
    first MPDUs) on the wire with real delimiter/payload/RIFS/SACK
    timing, feed the sniffers and the destination, generate SACKs —
@@ -160,17 +166,37 @@ class ContentionCoordinator:
         self._process = self.env.process(self._run())
 
     # -- main process -----------------------------------------------------------
-    def _pending_priorities(self) -> List[PriorityClass]:
-        return [
-            priority
-            for priority in (node.pending_priority() for node in self.nodes)
-            if priority is not None
-        ]
+    def _idle_run_end(self, contenders: List[MacNode], limit: int):
+        """``(slots, end)``: how many idle slots to take in one timeout,
+        and the instant it fires.
+
+        No contender can attempt for ``quiet_slots`` slots.  The run
+        also ends before the next scheduled event (so no other process
+        runs inside it) and after ``limit`` slots; ``end`` adds the slot
+        duration once per slot, as chained timeouts do.  A probe sees
+        every slot, so with one attached the run is always 0.
+        """
+        if self.probe is not None:
+            return 0, None
+        quiet = min([node.quiet_slots for node in contenders])
+        slots = 0
+        end = self.env.now
+        if quiet > 0:
+            horizon = self.env.peek()
+            slot_us = self.timing.slot_us
+            limit = min(quiet, limit)
+            while slots < limit and end + slot_us < horizon:
+                end += slot_us
+                slots += 1
+        return slots, end
 
     def _run(self):
+        nodes = self.nodes
         while True:
             # Sleep until at least one node has something to send.
-            while not self._pending_priorities():
+            while not any(
+                node.pending_priority() is not None for node in nodes
+            ):
                 self._work_event = self.env.event()
                 yield self._work_event
                 self._work_event = None
@@ -178,12 +204,15 @@ class ContentionCoordinator:
             # Priority resolution phase (PRS0 + PRS1 busy tones).
             yield self.env.timeout(self.timing.prs_us)
             self.log.prs_phases += 1
-            pending = self._pending_priorities()
+            priorities = [node.pending_priority() for node in nodes]
+            pending = [p for p in priorities if p is not None]
             if not pending:
                 continue  # queues drained while PRS elapsed (host reset)
             winning = max(pending)
             contenders = [
-                node for node in self.nodes if node.begin_round(winning)
+                node
+                for node, priority in zip(nodes, priorities)
+                if node.begin_round(winning, priority)
             ]
             if self.probe is not None:
                 self.probe.emit(
@@ -209,6 +238,17 @@ class ContentionCoordinator:
                 ]
                 if not contenders:
                     break
+                # An idle run no contender can end is one timeout.
+                slots, end = self._idle_run_end(
+                    contenders, self._max_idle_slots - idle_run
+                )
+                if slots:
+                    for node in contenders:
+                        node.skip_idle(slots)
+                    yield self.env.timeout_at(end)
+                    self.log.idle_slots += slots
+                    idle_run += slots
+                    continue
                 attempters = [node for node in contenders if node.step()]
                 if not attempters:
                     yield self.env.timeout(self.timing.slot_us)

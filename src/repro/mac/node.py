@@ -178,14 +178,18 @@ class MacNode:
                 best = priority
         return best
 
-    def begin_round(self, winning_priority: PriorityClass) -> bool:
-        """Called after priority resolution.
+    def begin_round(
+        self,
+        winning_priority: PriorityClass,
+        pending: Optional[PriorityClass],
+    ) -> bool:
+        """Called after priority resolution, with this node's
+        :meth:`pending_priority` at the end of it.
 
         Returns ``True`` if this node contends in the round (its
         pending priority equals the winning one).  On a newly started
         frame the backoff FSM is reset to stage 0, as on frame arrival.
         """
-        pending = self.pending_priority()
         if pending != winning_priority:
             self._contending_priority = None
             return False
@@ -212,6 +216,20 @@ class MacNode:
         if self._contending_priority is None:
             return False
         return self.station_for(self._contending_priority).step()
+
+    @property
+    def quiet_slots(self) -> int:
+        """Slot events this node is certain not to attempt in
+        (:attr:`Station.quiet_slots` of the contending FSM; 0 when not
+        contending)."""
+        if self._contending_priority is None:
+            return 0
+        return self._stations[self._contending_priority].quiet_slots
+
+    def skip_idle(self, k: int) -> None:
+        """Consume ``k`` idle slot events at once
+        (:meth:`Station.skip_idle`)."""
+        self._stations[self._contending_priority].skip_idle(k)
 
     def take_burst(self) -> Burst:
         """The burst to put on the wire (node just won the slot)."""

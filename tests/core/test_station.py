@@ -65,6 +65,19 @@ def test_bc_counts_down_on_idle_slots():
     assert station.step() is True  # 1 -> 0: attempt
 
 
+def test_skip_idle_consumes_only_the_certain_idle_slots():
+    station = make_station([5])
+    station.step()  # INIT: BC = 5
+    assert station.quiet_slots == 0  # INIT makes no promise
+    station.resolve(SlotOutcome.IDLE)
+    assert station.quiet_slots == 4
+    station.skip_idle(4)
+    assert (station.bc, station.quiet_slots) == (1, 0)
+    with pytest.raises(ValueError):
+        station.skip_idle(1)
+    assert station.step() is True  # the slot a skip may not take
+
+
 def test_busy_slot_decrements_bc_and_dc():
     station = make_station([5, 7], cw=(8, 16), dc=(2, 3))
     station.step()  # redraw: bc=5, dc=2

@@ -69,3 +69,16 @@ def test_baseline_airtime_split_evenly():
     baseline = rate_diversity_experiment(3, None, duration_us=6e6)
     shares = list(baseline.airtime_share.values())
     assert max(shares) - min(shares) < 0.1
+
+
+def test_airtime_share_is_of_the_window_only():
+    """Airtime shares cover the test window, as frames and goodput do.
+
+    Station 0's outlet degrades after the warm-up, so counting the
+    warm-up's airtime (the coordinator's cumulative log) dilutes its
+    share: 0.618 instead of the window's 0.723.
+    """
+    degraded = rate_diversity_experiment(3, 3.0, duration_us=4e6)
+    shares = list(degraded.airtime_share.values())
+    assert shares[0] == pytest.approx(0.7226, abs=1e-3)
+    assert shares[1:] == pytest.approx([0.1407, 0.1314], abs=1e-3)

@@ -20,6 +20,11 @@ def make_node(name="node0", **kwargs):
     return node
 
 
+def begin(node, winning):
+    """Start a round as the coordinator does after priority resolution."""
+    return node.begin_round(winning, node.pending_priority())
+
+
 def data_frame():
     return udp_frame(dst_mac=D, src_mac="02:00:00:00:00:02")
 
@@ -67,13 +72,13 @@ class TestRounds:
     def test_begin_round_wrong_priority_defers(self):
         node = make_node()
         node.submit_data(data_frame())
-        assert node.begin_round(PriorityClass.CA3) is False
+        assert begin(node, PriorityClass.CA3) is False
         assert not node.contending
 
     def test_begin_round_builds_burst_and_resets(self):
         node = make_node()
         node.submit_data(data_frame())
-        assert node.begin_round(PriorityClass.CA1) is True
+        assert begin(node, PriorityClass.CA1) is True
         assert node.contending
         burst = node.take_burst()
         assert burst.source_tei == 2
@@ -81,23 +86,23 @@ class TestRounds:
 
     def test_idle_node_does_not_contend(self):
         node = make_node()
-        assert node.begin_round(PriorityClass.CA1) is False
+        assert begin(node, PriorityClass.CA1) is False
         assert node.step() is False
 
     def test_burst_survives_collisions(self):
         node = make_node()
         node.submit_data(data_frame())
-        node.begin_round(PriorityClass.CA1)
+        begin(node, PriorityClass.CA1)
         first = node.take_burst()
         node.step()
         node.resolve(SlotOutcome.COLLISION)
-        node.begin_round(PriorityClass.CA1)
+        begin(node, PriorityClass.CA1)
         assert node.take_burst() is first  # retransmission, same burst
 
     def test_success_consumes_burst(self):
         node = make_node()
         node.submit_data(data_frame())
-        node.begin_round(PriorityClass.CA1)
+        begin(node, PriorityClass.CA1)
         # Drive until the node attempts (bounded by CW0 slots).
         for _ in range(10):
             if node.step():
@@ -111,14 +116,14 @@ class TestRounds:
     def test_higher_priority_frame_freezes_lower_burst(self):
         node = make_node()
         node.submit_data(data_frame())
-        node.begin_round(PriorityClass.CA1)
+        begin(node, PriorityClass.CA1)
         ca1_burst = node.take_burst()
         # A CA3 MME arrives: the node's pending priority flips.
         node.submit_mme(
             QueuedMme(payload=b"x", dest_tei=1, priority=PriorityClass.CA3)
         )
         assert node.pending_priority() == PriorityClass.CA3
-        assert node.begin_round(PriorityClass.CA3) is True
+        assert begin(node, PriorityClass.CA3) is True
         assert node.take_burst().is_management
         # Win the CA3 round.
         for _ in range(10):
@@ -127,7 +132,7 @@ class TestRounds:
             node.resolve(SlotOutcome.IDLE)
         node.resolve(SlotOutcome.SUCCESS, won=True)
         # The CA1 burst is still there, untouched.
-        assert node.begin_round(PriorityClass.CA1) is True
+        assert begin(node, PriorityClass.CA1) is True
         assert node.take_burst() is ca1_burst
 
     def test_take_burst_without_contending_raises(self):
@@ -140,7 +145,7 @@ class TestSackPath:
     def test_sack_handler_called(self):
         node = make_node()
         node.submit_data(data_frame())
-        node.begin_round(PriorityClass.CA1)
+        begin(node, PriorityClass.CA1)
         burst = node.take_burst()
         received = []
         node.sack_handler = lambda sack, b, outcome: received.append(outcome)
